@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-churn bench-compare bench-pr
+.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-churn bench-compare bench-pr bench-test
 
 all: check
 
@@ -47,6 +47,13 @@ bench-store:
 # a >= 5x lead (and allocates nothing) at k≈8.
 bench-churn:
 	sh scripts/bench_churn.sh
+
+# Engine-benchmark output checks: the end-to-end guard for solver and
+# engine changes (AP-Rad LP optimum against the benchmark's own simplex,
+# radius floors, the cold map). enginebench is its own module, so it is
+# not part of `go test ./...`.
+bench-test:
+	cd enginebench && $(GO) test .
 
 # Perf-regression watchdog: diff the current BENCH_<pr>.json against the
 # previous PR's checked-in baseline and fail on gated regressions (p99
@@ -119,4 +126,4 @@ profile-smoke:
 	sh scripts/profile_smoke.sh
 
 # The gate CI runs: everything must pass before a merge.
-check: vet build test race metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke bench-store bench-churn bench-compare
+check: vet build test race bench-test metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke bench-store bench-churn bench-compare

@@ -131,6 +131,12 @@ func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := sn.PosAt(i).Dist(sn.PosAt(j))
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				// An AP at a non-finite position says nothing about its
+				// neighbours: no constraint and no repair floor, so it
+				// cannot poison their radii.
+				continue
+			}
 			if co[[2]int{i, j}] {
 				lowers = append(lowers, lower{i, j, d})
 				if cfg.KeepLowerBounds {

@@ -129,6 +129,39 @@ func TestEstimateRadiiInconsistentObservations(t *testing.T) {
 	}
 }
 
+func TestEstimateRadiiNonFinitePositionIsolated(t *testing.T) {
+	// AP 3 has a corrupt (NaN) position and is co-observed with the two
+	// healthy APs. Its pairs carry no finite distance, so they must add
+	// neither a constraint nor a repair floor to its neighbours.
+	k := NewKnowledge([]APInfo{
+		{BSSID: mac(1), Pos: geom.Pt(0, 0)},
+		{BSSID: mac(2), Pos: geom.Pt(100, 0)},
+		{BSSID: mac(3), Pos: geom.Pt(math.NaN(), math.NaN())},
+	})
+	sets := map[dot11.MAC][]dot11.MAC{
+		mac(101): {mac(1), mac(2), mac(3)},
+		mac(102): {mac(1), mac(3)},
+	}
+	for _, keep := range []bool{false, true} {
+		out, diag, err := EstimateRadii(k, sets, APRadConfig{MaxRadius: 150, KeepLowerBounds: keep})
+		if err != nil {
+			t.Fatalf("keep=%v: %v", keep, err)
+		}
+		r1, r2 := knownRange(t, out, mac(1)), knownRange(t, out, mac(2))
+		for i, r := range []float64{r1, r2, knownRange(t, out, mac(3))} {
+			if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 || r > 150+1e-6 {
+				t.Errorf("keep=%v: r%d = %v, want finite in [0, 150]", keep, i+1, r)
+			}
+		}
+		if r1+r2 < 100-1e-6 {
+			t.Errorf("keep=%v: r1+r2 = %v, want >= 100", keep, r1+r2)
+		}
+		if diag.LowerBoundViolations != 0 {
+			t.Errorf("keep=%v: violations = %d, want 0", keep, diag.LowerBoundViolations)
+		}
+	}
+}
+
 func TestAPRadEndToEnd(t *testing.T) {
 	// A grid of APs with true radius 120; devices scattered across the
 	// area produce observation sets under the spherical model; AP-Rad must

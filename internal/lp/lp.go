@@ -1,10 +1,15 @@
-// Package lp implements a dense two-phase simplex solver for small linear
-// programs. The Marauder's map AP-Rad algorithm uses it to estimate AP
+// Package lp implements a two-phase simplex solver over a compact
+// dictionary for small and medium linear programs. The Marauder's map AP-Rad algorithm uses it to estimate AP
 // maximum transmission distances: maximize Σ r_j subject to pairwise
 // co-observation constraints r_i + r_j ≥ d_ij (or < d_ij) and box bounds.
 //
 // The solver handles ≤, ≥ and = constraints over non-negative variables and
-// uses Bland's rule, so it cannot cycle.
+// uses Bland's rule, so it cannot cycle. The dictionary keeps one row per
+// constraint and one column per nonbasic variable: the identity columns of
+// the basic variables are implicit, so an m-row program over n variables
+// with g ≥ rows takes (m+1)×(n+g) floats rather than a full tableau's
+// (m+1)×(n+m+g). Each pivot touches only the nonzero entries of its pivot
+// row.
 package lp
 
 import (
@@ -98,6 +103,11 @@ func SolveStats(p Problem) ([]float64, float64, Stats, error) {
 	if n == 0 {
 		return nil, 0, st, errors.New("lp: no variables")
 	}
+	for j, v := range p.Objective {
+		if !finite(v) {
+			return nil, 0, st, fmt.Errorf("lp: objective coefficient %d is %v", j, v)
+		}
+	}
 	for i, c := range p.Constraints {
 		if len(c.Coeffs) != n {
 			return nil, 0, st, fmt.Errorf("lp: constraint %d has %d coefficients, want %d",
@@ -108,21 +118,29 @@ func SolveStats(p Problem) ([]float64, float64, Stats, error) {
 		default:
 			return nil, 0, st, fmt.Errorf("lp: constraint %d has invalid relation", i)
 		}
+		for j, v := range c.Coeffs {
+			if !finite(v) {
+				return nil, 0, st, fmt.Errorf("lp: constraint %d coefficient %d is %v", i, j, v)
+			}
+		}
+		if !finite(c.B) {
+			return nil, 0, st, fmt.Errorf("lp: constraint %d right-hand side is %v", i, c.B)
+		}
 	}
 	st.Constraints = len(p.Constraints)
 
-	t := newTableau(p)
-	if err := t.phase1(); err != nil {
-		st.Phase1Pivots = t.pivots
+	d := newDict(p)
+	if err := d.phase1(); err != nil {
+		st.Phase1Pivots = d.pivots
 		return nil, 0, st, err
 	}
-	st.Phase1Pivots = t.pivots
-	if err := t.phase2(); err != nil {
-		st.Phase2Pivots = t.pivots - st.Phase1Pivots
+	st.Phase1Pivots = d.pivots
+	if err := d.phase2(); err != nil {
+		st.Phase2Pivots = d.pivots - st.Phase1Pivots
 		return nil, 0, st, err
 	}
-	st.Phase2Pivots = t.pivots - st.Phase1Pivots
-	x := t.solution(n)
+	st.Phase2Pivots = d.pivots - st.Phase1Pivots
+	x := d.solution()
 	obj := 0.0
 	for j := 0; j < n; j++ {
 		obj += p.Objective[j] * x[j]
@@ -130,42 +148,47 @@ func SolveStats(p Problem) ([]float64, float64, Stats, error) {
 	return x, obj, st, nil
 }
 
-// tableau is a standard-form simplex tableau. Columns: n structural
-// variables, then slack/surplus variables, then artificial variables, then
-// the RHS column.
-type tableau struct {
-	m, n     int       // constraint count, structural variable count
-	nSlack   int       // slack/surplus count
+// finite reports whether v is neither NaN nor ±Inf: for those v − v is
+// NaN, for every other float exactly 0.
+func finite(v float64) bool { return v-v == 0 }
+
+// dict is a simplex dictionary in tableau form with the basic columns left
+// out. Variables are numbered as in the full standard-form tableau: n
+// structural variables, then one slack (≤ row) or surplus (≥ row) per
+// inequality in row order, then one artificial per ≥ or = row in row
+// order. Column slot s holds nonbasic variable nonbasic[s]; row i has
+// basic variable basis[i]. A basic column is a unit vector, so the
+// entries kept are the full tableau's nonbasic entries, computed by the
+// same operations: where the tableau's basic columns come out exactly
+// unit (any program whose pivots are powers of two, such as AP-Rad's
+// unit-coefficient rows), the pivot sequence (Bland's rule on variable
+// indices) and every value are bit-identical to a full-tableau solve;
+// elsewhere they agree up to rounding.
+type dict struct {
+	m, n     int
+	artStart int       // variable index of the first artificial
 	nArt     int       // artificial count
-	rows     []float64 // (m+1) x width matrix, last row is objective
-	width    int
-	basis    []int // basic variable per row
-	artStart int   // column index of first artificial
+	w        int       // column slots: n + surplus count
+	a        []float64 // (m+1) x w entries; row m is the reduced-cost row
+	rhs      []float64 // m+1 right-hand sides; rhs[m] is minus the objective
+	basis    []int     // basic variable per row
+	nonbasic []int     // nonbasic variable per column slot
 	costs    []float64
-	pivots   int // Gauss-Jordan pivots performed
+	nz       []int // scratch: slots where the pivot row is nonzero
+	col      []int // scratch: rows (objective included) where the entering column is nonzero
+	pivots   int   // pivots performed
 }
 
-func newTableau(p Problem) *tableau {
+func newDict(p Problem) *dict {
 	m := len(p.Constraints)
 	n := len(p.Objective)
 
 	// Normalize rows to b >= 0.
-	type row struct {
-		a   []float64
-		rel Relation
-		b   float64
-	}
-	rows := make([]row, m)
+	rels := make([]Relation, m)
+	nSlack, nSurplus, nArt := 0, 0, 0
 	for i, c := range p.Constraints {
-		a := make([]float64, n)
-		copy(a, c.Coeffs)
-		b := c.B
 		rel := c.Rel
-		if b < 0 {
-			for j := range a {
-				a[j] = -a[j]
-			}
-			b = -b
+		if c.B < 0 {
 			switch rel {
 			case LE:
 				rel = GE
@@ -173,115 +196,142 @@ func newTableau(p Problem) *tableau {
 				rel = LE
 			}
 		}
-		rows[i] = row{a: a, rel: rel, b: b}
-	}
-
-	nSlack := 0
-	nArt := 0
-	for _, r := range rows {
-		switch r.rel {
+		rels[i] = rel
+		switch rel {
 		case LE:
 			nSlack++
 		case GE:
 			nSlack++
+			nSurplus++
 			nArt++
 		case EQ:
 			nArt++
 		}
 	}
 
-	width := n + nSlack + nArt + 1
-	t := &tableau{
+	w := n + nSurplus
+	d := &dict{
 		m:        m,
 		n:        n,
-		nSlack:   nSlack,
-		nArt:     nArt,
-		width:    width,
-		rows:     make([]float64, (m+1)*width),
-		basis:    make([]int, m),
 		artStart: n + nSlack,
-		costs:    make([]float64, n),
+		nArt:     nArt,
+		w:        w,
+		a:        make([]float64, (m+1)*w),
+		rhs:      make([]float64, m+1),
+		basis:    make([]int, m),
+		nonbasic: make([]int, w),
+		costs:    p.Objective,
 	}
-	copy(t.costs, p.Objective)
-
-	slackCol := n
-	artCol := t.artStart
-	for i, r := range rows {
-		base := i * width
-		copy(t.rows[base:base+n], r.a)
-		t.rows[base+width-1] = r.b
-		switch r.rel {
+	for j := 0; j < n; j++ {
+		d.nonbasic[j] = j
+	}
+	slackVar, artVar, surplusSlot := n, d.artStart, n
+	for i, c := range p.Constraints {
+		row := d.a[i*w : i*w+n]
+		if c.B < 0 {
+			for j, v := range c.Coeffs {
+				row[j] = -v
+			}
+			d.rhs[i] = -c.B
+		} else {
+			copy(row, c.Coeffs)
+			d.rhs[i] = c.B
+		}
+		switch rels[i] {
 		case LE:
-			t.rows[base+slackCol] = 1
-			t.basis[i] = slackCol
-			slackCol++
+			d.basis[i] = slackVar
+			slackVar++
 		case GE:
-			t.rows[base+slackCol] = -1 // surplus
-			slackCol++
-			t.rows[base+artCol] = 1
-			t.basis[i] = artCol
-			artCol++
+			d.a[i*w+surplusSlot] = -1
+			d.nonbasic[surplusSlot] = slackVar
+			surplusSlot++
+			slackVar++
+			d.basis[i] = artVar
+			artVar++
 		case EQ:
-			t.rows[base+artCol] = 1
-			t.basis[i] = artCol
-			artCol++
+			d.basis[i] = artVar
+			artVar++
 		}
 	}
-	return t
+	return d
 }
 
-func (t *tableau) at(i, j int) float64 { return t.rows[i*t.width+j] }
+func (d *dict) row(i int) []float64 { return d.a[i*d.w : (i+1)*d.w] }
 
-// pivot performs a Gauss-Jordan pivot on (pr, pc).
-func (t *tableau) pivot(pr, pc int) {
-	pv := t.at(pr, pc)
-	inv := 1.0 / pv
-	base := pr * t.width
-	for j := 0; j < t.width; j++ {
-		t.rows[base+j] *= inv
+// column lists, in increasing order, the rows (the objective row m
+// included) where column slot s is nonzero. A pivot on s reads the column
+// through this list, so the strided walk down the dictionary happens once.
+func (d *dict) column(s int) []int {
+	d.col = d.col[:0]
+	for i, off := 0, s; i <= d.m; i, off = i+1, off+d.w {
+		if d.a[off] != 0 {
+			d.col = append(d.col, i)
+		}
 	}
-	for i := 0; i <= t.m; i++ {
+	return d.col
+}
+
+// pivot exchanges the basic variable of row pr with the nonbasic variable
+// in column slot s. The leaving variable takes over slot s, whose column
+// becomes the entering column divided by minus the pivot (the pivot row
+// entry is the pivot's inverse). Every other row is updated only at the
+// slots where the scaled pivot row is nonzero. rows is column(s).
+func (d *dict) pivot(pr, s int, rows []int) {
+	prow := d.row(pr)
+	inv := 1.0 / prow[s]
+	d.nz = d.nz[:0]
+	for j, v := range prow {
+		if v == 0 || j == s {
+			continue
+		}
+		prow[j] = v * inv
+		d.nz = append(d.nz, j)
+	}
+	prow[s] = inv
+	d.rhs[pr] *= inv
+	pb := d.rhs[pr]
+	for _, i := range rows {
 		if i == pr {
 			continue
 		}
-		f := t.at(i, pc)
-		if f == 0 {
-			continue
+		row := d.row(i)
+		f := row[s]
+		for _, j := range d.nz {
+			row[j] -= f * prow[j]
 		}
-		rb := i * t.width
-		for j := 0; j < t.width; j++ {
-			t.rows[rb+j] -= f * t.rows[base+j]
-		}
+		row[s] = -f * inv
+		d.rhs[i] -= f * pb
 	}
-	t.basis[pr] = pc
-	t.pivots++
+	d.basis[pr], d.nonbasic[s] = d.nonbasic[s], d.basis[pr]
+	d.pivots++
 }
 
-// runSimplex iterates simplex pivots on the current objective row (row m),
-// maximizing, with Bland's rule. cols limits eligible entering columns.
-func (t *tableau) runSimplex(cols int) error {
+// runSimplex iterates simplex pivots on the reduced-cost row (row m),
+// maximizing, with Bland's rule. Only variables below cols may enter.
+func (d *dict) runSimplex(cols int) error {
+	obj := d.row(d.m)
 	for iter := 0; iter < maxIters; iter++ {
-		// Entering column: smallest index with positive reduced cost
-		// (we keep the objective row as reduced costs for maximization).
+		// Entering variable: the smallest index with positive reduced
+		// cost.
 		pc := -1
-		for j := 0; j < cols; j++ {
-			if t.at(t.m, j) > tol {
-				pc = j
-				break
+		for s, v := range obj {
+			if v > tol && d.nonbasic[s] < cols && (pc == -1 || d.nonbasic[s] < d.nonbasic[pc]) {
+				pc = s
 			}
 		}
 		if pc == -1 {
 			return nil // optimal
 		}
 		// Leaving row: min ratio, Bland tie-break on basis index.
+		rows := d.column(pc)
 		pr := -1
 		best := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			a := t.at(i, pc)
-			if a > tol {
-				ratio := t.at(i, t.width-1) / a
+		for _, i := range rows {
+			a := d.a[i*d.w+pc]
+			if a > tol && i < d.m {
+				ratio := d.rhs[i] / a
 				if ratio < best-tol || (math.Abs(ratio-best) <= tol &&
-					(pr == -1 || t.basis[i] < t.basis[pr])) {
+					(pr == -1 || d.basis[i] < d.basis[pr])) {
 					best = ratio
 					pr = i
 				}
@@ -290,35 +340,28 @@ func (t *tableau) runSimplex(cols int) error {
 		if pr == -1 {
 			return ErrUnbounded
 		}
-		t.pivot(pr, pc)
+		d.pivot(pr, pc, rows)
 	}
 	return errors.New("lp: iteration limit exceeded")
 }
 
 // phase1 drives artificial variables to zero.
-func (t *tableau) phase1() error {
-	if t.nArt == 0 {
+func (d *dict) phase1() error {
+	if d.nArt == 0 {
 		return nil
 	}
-	// Phase-1 objective: maximize −Σ artificials. Build the reduced-cost
-	// row: start from −1 on artificial columns and add back the basic rows
-	// containing artificials.
-	objBase := t.m * t.width
-	for j := 0; j < t.width; j++ {
-		t.rows[objBase+j] = 0
-	}
-	for j := t.artStart; j < t.artStart+t.nArt; j++ {
-		t.rows[objBase+j] = -1
-	}
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] >= t.artStart {
-			rb := i * t.width
-			for j := 0; j < t.width; j++ {
-				t.rows[objBase+j] += t.rows[rb+j]
+	// Phase-1 objective: maximize −Σ artificials. Every artificial starts
+	// basic, so its reduced-cost row is the sum of the artificial rows.
+	obj := d.row(d.m)
+	for i := 0; i < d.m; i++ {
+		if d.basis[i] >= d.artStart {
+			for j, v := range d.row(i) {
+				obj[j] += v
 			}
+			d.rhs[d.m] += d.rhs[i]
 		}
 	}
-	if err := t.runSimplex(t.width - 1); err != nil {
+	if err := d.runSimplex(d.artStart + d.nArt); err != nil {
 		if errors.Is(err, ErrUnbounded) {
 			// Phase-1 objective is bounded by construction; treat as internal.
 			return errors.New("lp: internal: unbounded phase 1")
@@ -327,59 +370,60 @@ func (t *tableau) phase1() error {
 	}
 	// The objective row's RHS holds the negated phase-1 value, i.e.
 	// Σ artificials at the optimum; infeasible if it stays positive.
-	if v := t.at(t.m, t.width-1); v > 1e-6 {
+	if d.rhs[d.m] > 1e-6 {
 		return ErrInfeasible
 	}
-	// Pivot any artificial still in the basis (at zero level) out.
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.artStart {
+	// Pivot any artificial still in the basis (at zero level) out, on the
+	// smallest-index structural or slack variable its row can take.
+	for i := 0; i < d.m; i++ {
+		if d.basis[i] < d.artStart {
 			continue
 		}
-		done := false
-		for j := 0; j < t.artStart && !done; j++ {
-			if math.Abs(t.at(i, j)) > tol {
-				t.pivot(i, j)
-				done = true
+		pc := -1
+		for s, v := range d.row(i) {
+			if d.nonbasic[s] < d.artStart && math.Abs(v) > tol &&
+				(pc == -1 || d.nonbasic[s] < d.nonbasic[pc]) {
+				pc = s
 			}
 		}
-		// If the row is all zeros over structural+slack columns the
-		// constraint is redundant; leave the artificial basic at zero.
+		// With no such entry the constraint is redundant; leave the
+		// artificial basic at zero.
+		if pc != -1 {
+			d.pivot(i, pc, d.column(pc))
+		}
 	}
 	return nil
 }
 
-// phase2 optimizes the real objective over structural and slack columns.
-func (t *tableau) phase2() error {
-	objBase := t.m * t.width
-	for j := 0; j < t.width; j++ {
-		t.rows[objBase+j] = 0
-	}
-	for j := 0; j < t.n; j++ {
-		t.rows[objBase+j] = t.costs[j]
-	}
-	// Reduce against the current basis.
-	for i := 0; i < t.m; i++ {
-		b := t.basis[i]
-		if b < t.n && t.costs[b] != 0 {
-			f := t.at(t.m, b)
-			if f == 0 {
-				continue
-			}
-			rb := i * t.width
-			for j := 0; j < t.width; j++ {
-				t.rows[objBase+j] -= f * t.rows[rb+j]
-			}
+// phase2 optimizes the real objective over structural and slack variables.
+func (d *dict) phase2() error {
+	obj := d.row(d.m)
+	for s, v := range d.nonbasic {
+		obj[s] = 0
+		if v < d.n {
+			obj[s] = d.costs[v]
 		}
 	}
-	// Exclude artificial columns from entering.
-	return t.runSimplex(t.artStart)
+	d.rhs[d.m] = 0
+	// Reduce against the current basis.
+	for i, b := range d.basis {
+		if b >= d.n || d.costs[b] == 0 {
+			continue
+		}
+		f := d.costs[b]
+		for j, v := range d.row(i) {
+			obj[j] -= f * v
+		}
+		d.rhs[d.m] -= f * d.rhs[i]
+	}
+	return d.runSimplex(d.artStart)
 }
 
-func (t *tableau) solution(n int) []float64 {
-	x := make([]float64, n)
-	for i := 0; i < t.m; i++ {
-		if b := t.basis[i]; b < n {
-			x[b] = t.at(i, t.width-1)
+func (d *dict) solution() []float64 {
+	x := make([]float64, d.n)
+	for i, b := range d.basis {
+		if b < d.n {
+			x[b] = d.rhs[i]
 			if x[b] < 0 && x[b] > -1e-7 {
 				x[b] = 0
 			}
