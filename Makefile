@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-churn bench-compare bench-pr bench-test
+.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-compare bench-pr bench-test
 
 all: check
 
@@ -41,13 +41,6 @@ bench-ingest:
 bench-store:
 	sh scripts/bench_store.sh
 
-# Incremental-kernel regression gate: MLocTracked + tracker-served area
-# vs the full per-fix recompute on the sliding-Γ churn workload,
-# recorded into BENCH_10.json. Fails unless the incremental kernel holds
-# a >= 5x lead (and allocates nothing) at k≈8.
-bench-churn:
-	sh scripts/bench_churn.sh
-
 # Engine-benchmark output checks: the end-to-end guard for solver and
 # engine changes (AP-Rad LP optimum against the benchmark's own simplex,
 # radius floors, the cold map). enginebench is its own module, so it is
@@ -57,22 +50,21 @@ bench-test:
 
 # Perf-regression watchdog: diff the current BENCH_<pr>.json against the
 # previous PR's checked-in baseline and fail on gated regressions (p99
-# blowups, throughput collapse, lost kernel speedup, missing profile).
+# blowups, throughput collapse, missing profile).
 bench-compare:
 	sh scripts/bench_compare.sh
 
 # Regenerate the current PR's versioned perf summary: two mini-soaks
-# (chaos off/on) through the flight recorder, the loopback agent-fleet
-# run, plus the churn-kernel gate, all merged into BENCH_10.json, then
-# the regression watchdog against the previous baseline.
+# (chaos off/on) through the flight recorder and the loopback agent-fleet
+# run, merged into BENCH_10.json, then the regression watchdog against
+# the previous baseline.
 bench-pr:
 	sh scripts/soak_smoke.sh
-	sh scripts/bench_churn.sh
 	sh scripts/bench_compare.sh
 
-# Short fuzzing burst over every fuzz target: the frame parser, the
-# radiotap splitter, the sharded store's record ingest, and the
-# incremental-region differential oracle. Checked-in corpora under
+# Short fuzzing burst over every fuzz target: the frame parsers, the
+# sharded store's record ingest, the AP-snapshot codec and the capwire
+# decoder. Checked-in corpora under
 # testdata/fuzz replay as plain tests; this keeps mining.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/dot11
@@ -80,7 +72,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzFrameParse$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run xxx -fuzz 'FuzzSnapshotCodec$$' -fuzztime=10s ./internal/apdb
-	$(GO) test -run xxx -fuzz 'FuzzIncrementalRegion$$' -fuzztime=30s ./internal/geom
 	$(GO) test -run xxx -fuzz 'FuzzCapwireDecode$$' -fuzztime=10s ./internal/capwire
 
 fmt:
@@ -126,4 +117,4 @@ profile-smoke:
 	sh scripts/profile_smoke.sh
 
 # The gate CI runs: everything must pass before a merge.
-check: vet build test race bench-test metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke bench-store bench-churn bench-compare
+check: vet build test race bench-test metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke bench-store bench-compare

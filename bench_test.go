@@ -470,129 +470,3 @@ func BenchmarkAblationPropagation(b *testing.B) {
 		b.ReportMetric(lastFloat(b, t, r, 2), "coverage_"+row[0])
 	}
 }
-
-// churnWorld builds the tracked-device churn fixture shared by the
-// BenchmarkTrackChurn sub-benchmarks: nAPs on a line 30 m apart with
-// 150 m ranges, the sliding k-AP Γ for every step, and an observation
-// store in which the device is heard by exactly window s's APs at
-// t = s·30.
-func churnWorld(nAPs, k int) (core.Knowledge, [][]dot11.MAC, *obs.Store, dot11.MAC) {
-	aps := make([]core.APInfo, 0, nAPs)
-	for i := 0; i < nAPs; i++ {
-		aps = append(aps, core.APInfo{
-			BSSID:    sim.NewMAC(0xC8, i+1),
-			Pos:      geom.Pt(float64(i)*30, 0),
-			MaxRange: 150,
-		})
-	}
-	know := core.NewKnowledge(aps)
-	gammas := make([][]dot11.MAC, 0, nAPs-k+1)
-	for s := 0; s+k <= nAPs; s++ {
-		gamma := make([]dot11.MAC, 0, k)
-		for i := s; i < s+k; i++ {
-			gamma = append(gamma, aps[i].BSSID)
-		}
-		gammas = append(gammas, gamma)
-	}
-	store := obs.NewStore()
-	dev := sim.NewMAC(0xDE, 1)
-	seq := uint16(1)
-	for s, gamma := range gammas {
-		for _, ap := range gamma {
-			store.Ingest(float64(s)*30, dot11.NewProbeResponse(ap, dev, "", 1, seq), true)
-			seq++
-		}
-	}
-	return know, gammas, store, dev
-}
-
-// BenchmarkTrackChurn measures the incremental intersection kernel on the
-// tracked-device churn pattern — Γ of k discs sliding ±1 AP per fix, the
-// cache-hostile workload the kernel exists for. The kernel pair measures
-// the full per-fix region payload of a traced tracked fix — the position
-// estimate plus the intersected area that finishFix records for every
-// sampled fix — on both paths: incremental (core.MLocTracked diffing one
-// reused Region, area served from the same live region) versus full
-// recompute (core.MLoc plus core.RegionArea re-intersecting all k discs).
-// scripts/bench_churn.sh enforces the ≥5× speedup gate on exactly this
-// pair. The engine pair runs the same contrast end to end through Track
-// with caching disabled, where shared per-fix overhead (window queries,
-// trace plumbing) dilutes but must not erase the win.
-func BenchmarkTrackChurn(b *testing.B) {
-	const nAPs, k = 40, 8
-	know, gammas, store, dev := churnWorld(nAPs, k)
-
-	// The kernel pair walks the windows ping-pong (slide right to the end,
-	// then back) so every measured step is a genuine ±1 Γ churn; a plain
-	// modulo walk would teleport from the last window to the first once
-	// per cycle, and that jump measures the rebuild path, not the churn.
-	period := 2 * (len(gammas) - 1)
-	pingpong := func(i int) []dot11.MAC {
-		idx := i % period
-		if idx >= len(gammas) {
-			idx = period - idx
-		}
-		return gammas[idx]
-	}
-	b.Run("kernel/path=incremental", func(b *testing.B) {
-		var rt core.RegionTracker
-		warm := func(i int) float64 {
-			if _, err := core.MLocTracked(know, pingpong(i), &rt); err != nil {
-				b.Fatal(err)
-			}
-			area, ok := rt.RegionArea()
-			if !ok {
-				b.Fatal("tracker has no region area after a canonical fix")
-			}
-			return area
-		}
-		for i := 0; i < period; i++ { // warm arenas over a full cycle
-			warm(i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			warm(i)
-		}
-	})
-	b.Run("kernel/path=full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.MLoc(know, pingpong(i)); err != nil {
-				b.Fatal(err)
-			}
-			_ = core.RegionArea(know, pingpong(i))
-		}
-	})
-
-	endSec := float64(len(gammas)-1) * 30
-	trackLoop := func(b *testing.B, loc core.Localizer) {
-		eng, err := engine.New(engine.Config{
-			Know: know, Store: store, Localizer: loc,
-			WindowSec: 30, Workers: 1, CacheSize: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pts []core.TrackPoint
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pts, err = eng.Track(dev, 0, endSec, 30)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if len(pts) != len(gammas) {
-			b.Fatalf("%d track points, want %d", len(pts), len(gammas))
-		}
-		b.ReportMetric(float64(len(pts)), "fixes/track")
-	}
-	b.Run("engine/path=incremental", func(b *testing.B) {
-		trackLoop(b, core.MLocalizer{})
-	})
-	b.Run("engine/path=full", func(b *testing.B) {
-		// The func adapter hides MLocalizer's tracked capability, pinning
-		// the engine to the from-scratch path.
-		trackLoop(b, core.LocalizerFunc{Method: "m-loc", Func: core.MLoc})
-	})
-}

@@ -7,15 +7,15 @@
 //
 //	benchcompare -prev BENCH_8.json -cur BENCH_9.json
 //	             [-max-p99-ratio 2.5] [-min-throughput-ratio 0.4]
-//	             [-min-kernel-speedup 5] [-require-profile=true]
+//	             [-require-profile=true]
 //
 // The gates are deliberately generous: the checked-in previous summary
 // was produced on a different machine than the CI runner, so only
 // order-of-magnitude regressions should trip them. Latency gates use a
 // noise floor (the previous value is clamped up to the floor before the
 // ratio applies), so sub-floor jitter on near-zero latencies cannot
-// fail the build. Absolute gates (the churn-kernel speedup floor, the
-// profile-section requirement) bind regardless of the baseline.
+// fail the build. Absolute gates (the profile- and agents-section
+// requirements) bind regardless of the baseline.
 //
 // Checks, per run name present in both summaries' "runs":
 //
@@ -26,8 +26,6 @@
 //
 // Plus, against the current summary alone:
 //
-//   - churn.kernel_speedup at least min-kernel-speedup (same floor as
-//     scripts/bench_churn.sh, so the merge cannot quietly drop the gate)
 //   - with -require-profile, every current run carries a "profile"
 //     section with decoded hot functions and per-stage shares
 //   - with -require-agents, the current summary carries an "agents"
@@ -192,7 +190,6 @@ func run(args []string, out io.Writer) error {
 	curPath := fs.String("cur", "", "current PR's BENCH_<pr>.json (required)")
 	maxP99Ratio := fs.Float64("max-p99-ratio", 2.5, "fail when a latency p99 exceeds this multiple of the previous (noise-clamped) value")
 	minThroughputRatio := fs.Float64("min-throughput-ratio", 0.4, "fail when framesPerWallSec drops below this fraction of the previous run")
-	minKernelSpeedup := fs.Float64("min-kernel-speedup", 5, "fail when churn.kernel_speedup falls below this absolute floor")
 	requireProfile := fs.Bool("require-profile", true, "fail when a current run lacks a profile section with hot functions and stage shares")
 	requireAgents := fs.Bool("require-agents", false, "fail when the current summary lacks an agents section with throughput, a resume, and balanced accounting")
 	if err := fs.Parse(args); err != nil {
@@ -211,10 +208,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	c := &comparer{prev: prev, cur: cur}
-
-	speedup, ok := digFloat(cur, "churn", "kernel_speedup")
-	c.add("churn.kernel_speedup", ok && speedup >= *minKernelSpeedup,
-		"cur %.2fx (floor %.2fx)", speedup, *minKernelSpeedup)
 
 	if *requireAgents {
 		c.checkAgents()

@@ -25,8 +25,8 @@
 // a chaos-on invocation build one BENCH_<pr>.json between them;
 // -merge-micro additionally embeds a microbenchmark JSON (as
 // scripts/bench_store.sh emits) under "micro", and -merge-extra embeds
-// any benchmark JSON under a caller-chosen key (scripts/bench_churn.sh
-// uses churn=FILE) — one idiom produces every BENCH_<pr>.json. With
+// any benchmark JSON under a caller-chosen key (scripts/soak_smoke.sh
+// uses agents=FILE) — one idiom produces every BENCH_<pr>.json. With
 // -duration 0 the command only merges.
 //
 // The rig self-profiles by default (-prof): one continuous-profiler

@@ -123,29 +123,29 @@ func TestMergeExtraSections(t *testing.T) {
 	if err := os.WriteFile(out, []byte(`{"runs":{"existing":{"framesIngested":7}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	churn := filepath.Join(dir, "churn.json")
-	if err := os.WriteFile(churn, []byte(`{"kernel_speedup": 5.2}`), 0o644); err != nil {
+	agents := filepath.Join(dir, "agents.json")
+	if err := os.WriteFile(agents, []byte(`{"framesPerSec": 5.2}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-duration", "0", "-out", out, "-pr", "8", "-merge-extra", "churn=" + churn})
+	err := run([]string{"-duration", "0", "-out", out, "-pr", "8", "-merge-extra", "agents=" + agents})
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := readBench(t, out)
-	if doc["churn"].(map[string]any)["kernel_speedup"].(float64) != 5.2 {
-		t.Errorf("churn section not merged: %v", doc["churn"])
+	if doc["agents"].(map[string]any)["framesPerSec"].(float64) != 5.2 {
+		t.Errorf("agents section not merged: %v", doc["agents"])
 	}
 	if doc["runs"].(map[string]any)["existing"].(map[string]any)["framesIngested"].(float64) != 7 {
 		t.Errorf("merge clobbered an existing run: %v", doc["runs"])
 	}
 
 	// Malformed specs and reserved keys are rejected outright.
-	for _, spec := range []string{"nofile", "=x", "churn=", "runs=" + churn} {
+	for _, spec := range []string{"nofile", "=x", "agents=", "runs=" + agents} {
 		if err := run([]string{"-duration", "0", "-out", out, "-merge-extra", spec}); err == nil {
 			t.Errorf("want error for -merge-extra %q", spec)
 		}
 	}
-	if err := run([]string{"-duration", "0", "-out", out, "-merge-extra", "churn=" + filepath.Join(dir, "missing.json")}); err == nil {
+	if err := run([]string{"-duration", "0", "-out", out, "-merge-extra", "agents=" + filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("want error for missing -merge-extra file")
 	}
 }

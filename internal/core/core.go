@@ -14,8 +14,8 @@
 //     radius, then call AP-Rad and M-Loc.
 //
 // The package also provides the Centroid and Closest-AP baselines the
-// paper compares against, and a Tracker that runs continuous localization
-// over the observation store.
+// paper compares against. Continuous localization over the observation
+// store is internal/engine's job.
 package core
 
 import (

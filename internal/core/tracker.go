@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dot11"
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // Locator is a localization algorithm mapping the attacker's knowledge and
@@ -21,88 +18,6 @@ type TrackPoint struct {
 	TimeSec float64 `json:"timeSec"`
 	// Est is the location estimate for that window.
 	Est Estimate `json:"est"`
-}
-
-// Tracker runs continuous localization over an observation store.
-//
-// Tracker is the sequential, uncached compatibility layer kept for simple
-// single-device uses and older call sites. New code should drive
-// internal/engine.Engine instead: the engine owns the same
-// ingest→observe→localize pipeline but snapshots devices across a worker
-// pool, memoizes estimates by Γ, and re-trains AP-Rad / AP-Loc knowledge
-// as observations accumulate.
-type Tracker struct {
-	// Know is the AP knowledge base (external or trained).
-	Know Knowledge
-	// Store supplies the observations.
-	Store *obs.Store
-	// WindowSec is the observation window width; a device's Γ for a fix at
-	// time t is everything observed in [t−WindowSec/2, t+WindowSec/2).
-	WindowSec float64
-	// Localizer is the algorithm; it takes precedence over Locate.
-	Localizer Localizer
-	// Locate is the algorithm as a bare func; nil means MLoc.
-	Locate Locator
-}
-
-func (t *Tracker) locate(gamma []dot11.MAC) (Estimate, error) {
-	if t.Localizer != nil {
-		return t.Localizer.Locate(t.Know, gamma)
-	}
-	if t.Locate != nil {
-		return t.Locate(t.Know, gamma)
-	}
-	return MLoc(t.Know, gamma)
-}
-
-// Fix estimates the device's position from the observations in the window
-// centred at timeSec.
-func (t *Tracker) Fix(dev dot11.MAC, timeSec float64) (Estimate, error) {
-	if t.WindowSec <= 0 {
-		return Estimate{}, fmt.Errorf("core: tracker needs WindowSec > 0")
-	}
-	gamma := t.Store.APSetWindow(dev, timeSec-t.WindowSec/2, timeSec+t.WindowSec/2)
-	if len(gamma) == 0 {
-		return Estimate{}, ErrNoAPs
-	}
-	return t.locate(gamma)
-}
-
-// Track produces fixes for the device every stepSec over [startSec,
-// endSec]; windows without observations are skipped. Steps are computed as
-// startSec + i·stepSec rather than accumulated, so long ranges do not
-// drift.
-func (t *Tracker) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]TrackPoint, error) {
-	if stepSec <= 0 {
-		return nil, fmt.Errorf("core: tracker needs stepSec > 0")
-	}
-	var out []TrackPoint
-	for i := 0; ; i++ {
-		ts := startSec + float64(i)*stepSec
-		if ts > endSec {
-			break
-		}
-		est, err := t.Fix(dev, ts)
-		if err != nil {
-			continue
-		}
-		out = append(out, TrackPoint{TimeSec: ts, Est: est})
-	}
-	return out, nil
-}
-
-// Snapshot locates every device with observations in the window centred at
-// timeSec — one full frame of the Marauder's map, computed sequentially.
-func (t *Tracker) Snapshot(timeSec float64) map[dot11.MAC]Estimate {
-	out := make(map[dot11.MAC]Estimate)
-	for _, dev := range t.Store.Devices() {
-		est, err := t.Fix(dev, timeSec)
-		if err != nil {
-			continue
-		}
-		out[dev] = est
-	}
-	return out
 }
 
 // Error returns the Euclidean localization error between an estimate and

@@ -1,106 +1,10 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
-	"repro/internal/dot11"
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
-
-func trackerFixture() (*Tracker, dot11.MAC) {
-	k := NewKnowledge([]APInfo{
-		{BSSID: mac(0xA1), Pos: geom.Pt(-50, 0), MaxRange: 100},
-		{BSSID: mac(0xA2), Pos: geom.Pt(50, 0), MaxRange: 100},
-		{BSSID: mac(0xA3), Pos: geom.Pt(200, 0), MaxRange: 100},
-		{BSSID: mac(0xA4), Pos: geom.Pt(300, 0), MaxRange: 100},
-	})
-	store := obs.NewStore()
-	dev := mac(1)
-	// The device is near the origin at t=10 (hears A1, A2), then near
-	// (250,0) at t=100 (hears A3, A4).
-	store.Ingest(10, dot11.NewProbeResponse(mac(0xA1), dev, "", 1, 1), true)
-	store.Ingest(10.5, dot11.NewProbeResponse(mac(0xA2), dev, "", 6, 1), true)
-	store.Ingest(100, dot11.NewProbeResponse(mac(0xA3), dev, "", 6, 2), true)
-	store.Ingest(100.5, dot11.NewProbeResponse(mac(0xA4), dev, "", 11, 2), true)
-	return &Tracker{Know: k, Store: store, WindowSec: 30}, dev
-}
-
-func TestTrackerFix(t *testing.T) {
-	tr, dev := trackerFixture()
-	est, err := tr.Fix(dev, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Symmetric pair around origin.
-	if est.Pos.Norm() > 1e-6 {
-		t.Errorf("fix at t=12: %v, want origin", est.Pos)
-	}
-	est2, err := tr.Fix(dev, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est2.Pos.Dist(geom.Pt(250, 0)) > 1e-6 {
-		t.Errorf("fix at t=100: %v, want (250,0)", est2.Pos)
-	}
-	// Empty window.
-	if _, err := tr.Fix(dev, 500); !errors.Is(err, ErrNoAPs) {
-		t.Errorf("empty window: %v", err)
-	}
-	// Config validation.
-	bad := &Tracker{Know: tr.Know, Store: tr.Store}
-	if _, err := bad.Fix(dev, 10); err == nil {
-		t.Error("want error for zero window")
-	}
-}
-
-func TestTrackerTrack(t *testing.T) {
-	tr, dev := trackerFixture()
-	points, err := tr.Track(dev, 0, 120, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) < 2 {
-		t.Fatalf("track points = %d", len(points))
-	}
-	// The track must move from the origin region to the (250,0) region.
-	first, last := points[0], points[len(points)-1]
-	if first.Est.Pos.Dist(geom.Pt(0, 0)) > 10 {
-		t.Errorf("track start = %v", first.Est.Pos)
-	}
-	if last.Est.Pos.Dist(geom.Pt(250, 0)) > 10 {
-		t.Errorf("track end = %v", last.Est.Pos)
-	}
-	if _, err := tr.Track(dev, 0, 10, 0); err == nil {
-		t.Error("want error for zero step")
-	}
-}
-
-func TestTrackerSnapshot(t *testing.T) {
-	tr, dev := trackerFixture()
-	// Second device probing only (no pairwise records): not locatable.
-	tr.Store.Ingest(11, dot11.NewProbeRequest(mac(2), "", 1), false)
-	snap := tr.Snapshot(11)
-	if len(snap) != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	if _, ok := snap[dev]; !ok {
-		t.Error("tracked device missing from snapshot")
-	}
-}
-
-func TestTrackerCustomLocator(t *testing.T) {
-	tr, dev := trackerFixture()
-	tr.Locate = CentroidBaseline
-	est, err := tr.Fix(dev, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Method != "centroid" {
-		t.Errorf("method = %q", est.Method)
-	}
-}
 
 func TestErrorMetric(t *testing.T) {
 	e := Estimate{Pos: geom.Pt(3, 4)}

@@ -11,11 +11,15 @@ import (
 const defaultCacheSize = 4096
 
 // gammaCache memoizes localization results by canonicalized Γ key.
-// Localization is a pure function of (knowledge, Γ); the engine
-// invalidates the whole cache whenever the knowledge base is swapped, so
-// entries never go stale. Failures are cached too — a Γ whose discs leave
-// an empty region fails identically (and expensively, through radius
-// inflation) every time it recurs.
+// Localization is a pure function of (knowledge, Γ); every entry belongs
+// to the cache's knowledge generation, and the engine moves the cache to
+// a new generation — dropping every entry — whenever the knowledge base
+// is swapped, so entries never go stale. Lookups and inserts carry the
+// generation the caller read with its knowledge: a lookup from an older
+// generation misses, and an estimate computed against an older base is
+// not inserted. Failures are cached too — a Γ whose discs leave an empty
+// region fails identically (and expensively, through radius inflation)
+// every time it recurs.
 //
 // Eviction is wholesale: when the cap is reached the map is dropped and
 // refilled. The working set of distinct Γ keys between knowledge swaps is
@@ -24,6 +28,7 @@ const defaultCacheSize = 4096
 type gammaCache struct {
 	mu      sync.Mutex
 	max     int
+	gen     uint64 // knowledge generation every entry was computed against
 	entries map[string]cacheEntry
 }
 
@@ -47,32 +52,40 @@ func gammaKey(gamma []dot11.MAC) string {
 	return string(buf)
 }
 
-func (c *gammaCache) get(key string) (core.Estimate, error, bool) {
+// get looks key up for a caller that read knowledge generation gen.
+func (c *gammaCache) get(key string, gen uint64) (core.Estimate, error, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
+	ok = ok && gen == c.gen
 	c.mu.Unlock()
 	return e.est, e.err, ok
 }
 
-// put inserts an entry and returns how many entries a wholesale refill
-// evicted (0 when the cap was not reached).
-func (c *gammaCache) put(key string, est core.Estimate, err error) int {
+// put inserts an entry computed against knowledge generation gen and
+// returns how many entries a wholesale refill evicted (0 when the cap was
+// not reached). An entry from an older generation than the cache's is
+// dropped: its knowledge was swapped out while it was being computed.
+func (c *gammaCache) put(key string, gen uint64, est core.Estimate, err error) int {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if gen != c.gen {
+		return 0
+	}
 	evicted := 0
 	if len(c.entries) >= c.max {
 		evicted = len(c.entries)
 		c.entries = make(map[string]cacheEntry)
 	}
 	c.entries[key] = cacheEntry{est: est, err: err}
-	c.mu.Unlock()
 	return evicted
 }
 
-// invalidate drops every entry (the knowledge base changed) and returns
-// how many were dropped.
-func (c *gammaCache) invalidate() int {
+// invalidate moves the cache to knowledge generation gen (the knowledge
+// base changed), drops every entry and returns how many were dropped.
+func (c *gammaCache) invalidate(gen uint64) int {
 	c.mu.Lock()
 	dropped := len(c.entries)
+	c.gen = gen
 	c.entries = make(map[string]cacheEntry)
 	c.mu.Unlock()
 	return dropped

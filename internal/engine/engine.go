@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dot11"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/sniffer"
 	"repro/internal/telemetry/trace"
@@ -347,16 +346,18 @@ func (e *Engine) Knowledge() core.Knowledge {
 // same snapshot, falling back to a content comparison otherwise.
 func (e *Engine) SetKnowledge(k core.Knowledge) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if k.Epoch() == e.know.Epoch() || k.Equal(e.know) {
 		e.know = k
-		e.mu.Unlock()
 		return
 	}
+	// The swap, the generation bump and the cache's move to the new
+	// generation happen under one lock, so a fix that read the old base
+	// can neither be served from nor written into the new generation.
 	e.know = k
-	e.mu.Unlock()
-	e.knowGen.Add(1)
+	gen := e.knowGen.Add(1)
 	if e.cache != nil {
-		if dropped := e.cache.invalidate(); dropped > 0 {
+		if dropped := e.cache.invalidate(gen); dropped > 0 {
 			e.evictions.Add(uint64(dropped))
 			mCacheEvictions.Add(uint64(dropped))
 		}
@@ -465,73 +466,45 @@ func (e *Engine) refreshOnce(trainer core.KnowledgeTrainer) error {
 // locateGamma answers one localization request, through the Γ cache when
 // enabled. gamma must be in APSetWindow's canonical (ascending, deduped)
 // order; the cache key is its byte concatenation. It returns the knowledge
-// the estimate was computed against (so traced callers attribute the
-// provenance to the right base) and whether the cache answered. tr may be
-// nil (untraced).
-func (e *Engine) locateGamma(gamma []dot11.MAC, tr *trace.Trace) (core.Estimate, core.Knowledge, bool, error) {
-	est, know, hit, _, err := e.locateGammaTracked(gamma, tr, nil, nil)
-	return est, know, hit, err
-}
-
-// locateGammaTracked is locateGamma with an optional incremental region
-// tracker. When tl and rt are both non-nil, cache misses run through
-// tl.LocateTracked so consecutive Γs of one tracked device update rt's
-// intersection region instead of rebuilding it. The trackedCompute result
-// reports whether that path ran — false on cache hits, which never advance
-// rt (the tracker diffs against its own previous Γ, so skipping windows is
-// safe). A tracked estimate's Vertices alias rt's arena; on the cached
-// path they are detached before the put (cache entries outlive the next
-// fix), so only the cache-disabled tracked path returns an aliased slice.
-func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.TrackedLocalizer, rt *core.RegionTracker) (est core.Estimate, know core.Knowledge, hit, trackedCompute bool, err error) {
+// and generation the estimate was computed against (so traced callers
+// attribute the provenance to the right base) and whether the cache
+// answered. tr may be nil (untraced).
+func (e *Engine) locateGamma(gamma []dot11.MAC, tr *trace.Trace) (est core.Estimate, know core.Knowledge, gen uint64, hit bool, err error) {
 	e.fixes.Add(1)
 	mFixes.Inc()
 	if len(gamma) == 0 {
-		return core.Estimate{}, core.Knowledge{}, false, false, core.ErrNoAPs
+		return core.Estimate{}, core.Knowledge{}, 0, false, core.ErrNoAPs
 	}
+	// Knowledge and generation are read together, so the cache can refuse
+	// an estimate whose base a concurrent SetKnowledge swapped out.
 	e.mu.RLock()
-	know = e.know
+	know, gen = e.know, e.knowGen.Load()
 	e.mu.RUnlock()
-	tracked := tl != nil && rt != nil
 	sp := tr.StartSpan("localize")
+	defer sp.End()
 	if e.cache == nil {
 		e.misses.Add(1)
 		mCacheMisses.Inc()
-		if tracked {
-			est, err = tl.LocateTracked(know, gamma, rt)
-		} else {
-			est, err = e.loc.Locate(know, gamma)
-		}
+		est, err = e.loc.Locate(know, gamma)
 		sp.Attr("cache_hit", false)
-		sp.End()
-		return est, know, false, tracked, err
+		return est, know, gen, false, err
 	}
 	key := gammaKey(gamma)
-	if est, err, ok := e.cache.get(key); ok {
+	if est, err, ok := e.cache.get(key, gen); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
 		sp.Attr("cache_hit", true)
-		sp.End()
-		return est, know, true, false, err
+		return est, know, gen, true, err
 	}
 	e.misses.Add(1)
 	mCacheMisses.Inc()
-	if tracked {
-		est, err = tl.LocateTracked(know, gamma, rt)
-		if len(est.Vertices) > 0 {
-			// The tracked estimate aliases rt's vertex arena, which the
-			// next fix overwrites; detach before the cache put.
-			est.Vertices = append([]geom.Point(nil), est.Vertices...)
-		}
-	} else {
-		est, err = e.loc.Locate(know, gamma)
-	}
-	if evicted := e.cache.put(key, est, err); evicted > 0 {
+	est, err = e.loc.Locate(know, gamma)
+	if evicted := e.cache.put(key, gen, est, err); evicted > 0 {
 		e.evictions.Add(uint64(evicted))
 		mCacheEvictions.Add(uint64(evicted))
 	}
 	sp.Attr("cache_hit", false)
-	sp.End()
-	return est, know, false, tracked, err
+	return est, know, gen, false, err
 }
 
 // fixWindow answers one localization over [start, end): the traced
@@ -540,15 +513,6 @@ func (e *Engine) locateGammaTracked(gamma []dot11.MAC, tr *trace.Trace, tl core.
 // buf[:0] in loops); the possibly-grown buffer is returned for reuse.
 // With tracing disabled the only cost over the raw path is one nil check.
 func (e *Engine) fixWindow(buf []dot11.MAC, dev dot11.MAC, start, end float64) ([]dot11.MAC, core.Estimate, error) {
-	buf, est, _, err := e.fixWindowTracked(buf, dev, start, end, nil, nil)
-	return buf, est, err
-}
-
-// fixWindowTracked is fixWindow with an optional region tracker (see
-// locateGammaTracked). aliased reports that the returned estimate's
-// Vertices alias rt's internal arena and are valid only until the next
-// fix through rt; callers that retain estimates must copy them.
-func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end float64, tl core.TrackedLocalizer, rt *core.RegionTracker) ([]dot11.MAC, core.Estimate, bool, error) {
 	var tr *trace.Trace
 	if e.tracer != nil {
 		tr = e.tracer.Start(trace.KindFix, dev.String())
@@ -572,25 +536,13 @@ func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end flo
 		t1 = time.Now()
 		mStageWindow.Observe(t1.Sub(t0).Seconds())
 	}
-	est, know, hit, trackedCompute, err := e.locateGammaTracked(buf, tr, tl, rt)
+	est, know, gen, hit, err := e.locateGamma(buf, tr)
 	if timed {
+		// A cache hit's lookup time is localization cost too.
 		t2 = time.Now()
-		// The middle stage is the incremental region update when the
-		// tracked path computed, plain localization otherwise (cache hits
-		// included — a hit's lookup time is localization cost).
-		if trackedCompute {
-			mStageRegion.Observe(t2.Sub(t1).Seconds())
-		} else {
-			mStageLocalize.Observe(t2.Sub(t1).Seconds())
-		}
+		mStageLocalize.Observe(t2.Sub(t1).Seconds())
 	}
-	// Provenance reads the tracker's path/diff only for fixes the tracked
-	// path actually computed; cache hits and untracked fixes pass nil.
-	var trt *core.RegionTracker
-	if trackedCompute {
-		trt = rt
-	}
-	e.finishFix(tr, dev, buf, know, est, err, hit, start, end, trt)
+	e.finishFix(tr, dev, buf, know, gen, est, err, hit, start, end)
 	if timed {
 		t3 := time.Now()
 		mStageTrace.Observe(t3.Sub(t2).Seconds())
@@ -599,7 +551,7 @@ func (e *Engine) fixWindowTracked(buf []dot11.MAC, dev dot11.MAC, start, end flo
 	if err != nil && !errors.Is(err, core.ErrNoAPs) {
 		mFixErrors.Inc()
 	}
-	return buf, est, trackedCompute && e.cache == nil, err
+	return buf, est, err
 }
 
 // Fix estimates the device's position from the observations in the window
@@ -623,18 +575,6 @@ func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core
 	if stepSec <= 0 {
 		return nil, fmt.Errorf("engine: Track needs stepSec > 0")
 	}
-	// A tracked-capable localizer gets one region tracker for the whole
-	// trajectory: consecutive windows share most of their Γ, so each fix
-	// diffs the previous intersection region instead of rebuilding it.
-	var (
-		tl    core.TrackedLocalizer
-		rt    *core.RegionTracker
-		arena []geom.Point
-	)
-	if t, ok := e.loc.(core.TrackedLocalizer); ok {
-		tl = t
-		rt = new(core.RegionTracker)
-	}
 	var out []core.TrackPoint
 	var buf []dot11.MAC
 	for i := 0; ; i++ {
@@ -643,19 +583,10 @@ func (e *Engine) Track(dev dot11.MAC, startSec, endSec, stepSec float64) ([]core
 			break
 		}
 		var est core.Estimate
-		var aliased bool
 		var err error
-		buf, est, aliased, err = e.fixWindowTracked(buf[:0], dev, ts-e.windowSec/2, ts+e.windowSec/2, tl, rt)
+		buf, est, err = e.fixWindow(buf[:0], dev, ts-e.windowSec/2, ts+e.windowSec/2)
 		if err != nil {
 			continue
-		}
-		if aliased && len(est.Vertices) > 0 {
-			// The estimate's vertices alias rt's arena, which the next fix
-			// overwrites; materialize into a per-trajectory arena. Earlier
-			// points keep their (full-capacity) slices across regrowth.
-			n := len(arena)
-			arena = append(arena, est.Vertices...)
-			est.Vertices = arena[n:len(arena):len(arena)]
 		}
 		out = append(out, core.TrackPoint{TimeSec: ts, Est: est})
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -73,18 +74,41 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// referenceFix is the per-window oracle: the window's Γ straight from
+// the store, located by plain M-Loc with no engine, cache or state reuse.
+func referenceFix(k core.Knowledge, store *obs.Store, dev dot11.MAC, ts, windowSec float64) (core.Estimate, error) {
+	gamma := store.APSetWindow(dev, ts-windowSec/2, ts+windowSec/2)
+	if len(gamma) == 0 {
+		return core.Estimate{}, core.ErrNoAPs
+	}
+	return core.MLoc(k, gamma)
+}
+
+// referenceTrack fixes every window independently, skipping failures.
+func referenceTrack(k core.Knowledge, store *obs.Store, dev dot11.MAC, startSec, endSec, stepSec, windowSec float64) []core.TrackPoint {
+	var out []core.TrackPoint
+	for i := 0; ; i++ {
+		ts := startSec + float64(i)*stepSec
+		if ts > endSec {
+			return out
+		}
+		if est, err := referenceFix(k, store, dev, ts, windowSec); err == nil {
+			out = append(out, core.TrackPoint{TimeSec: ts, Est: est})
+		}
+	}
+}
+
 func TestFixMatchesTracker(t *testing.T) {
 	k, store, devs := gridWorld(60, 10)
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
-	tr := &core.Tracker{Know: k, Store: store, WindowSec: 30}
 	for _, dev := range devs {
 		got, gotErr := e.Fix(dev, 50)
-		want, wantErr := tr.Fix(dev, 50)
+		want, wantErr := referenceFix(k, store, dev, 50, 30)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%v: engine err %v, tracker err %v", dev, gotErr, wantErr)
+			t.Fatalf("%v: engine err %v, reference err %v", dev, gotErr, wantErr)
 		}
 		if gotErr == nil && got.Pos != want.Pos {
-			t.Fatalf("%v: engine %v, tracker %v", dev, got.Pos, want.Pos)
+			t.Fatalf("%v: engine %v, reference %v", dev, got.Pos, want.Pos)
 		}
 	}
 	if _, err := e.Fix(devs[0], 500); !errors.Is(err, core.ErrNoAPs) {
@@ -109,20 +133,36 @@ func TestSnapshotParallelMatchesSequential(t *testing.T) {
 func TestTrackMatchesTrackerAndSkipsGaps(t *testing.T) {
 	k, store, devs := gridWorld(60, 3)
 	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
-	tr := &core.Tracker{Know: k, Store: store, WindowSec: 30}
 	got, err := e.Track(devs[0], 0, 200, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.Track(devs[0], 0, 200, 10)
-	if err != nil {
-		t.Fatal(err)
+	want := referenceTrack(k, store, devs[0], 0, 200, 10, 30)
+	if len(want) == 0 || len(want) == 21 {
+		t.Fatalf("reference track has %d of 21 points; the fixture must have gaps", len(want))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine track %d points, tracker %d", len(got), len(want))
+		t.Fatalf("engine track %d points, reference %d", len(got), len(want))
 	}
 	if _, err := e.Track(devs[0], 0, 10, 0); err == nil {
 		t.Error("want error for zero step")
+	}
+
+	// With accumulated stepping, 0.1-second steps drift off the step grid
+	// over ten thousand iterations; index-based stepping keeps every
+	// timestamp exact.
+	fine, err := e.Track(devs[0], 0, 1000, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fine) == 0 {
+		t.Fatal("fine-step track produced no points")
+	}
+	for _, p := range fine {
+		nearest := math.Round(p.TimeSec/0.1) * 0.1
+		if diff := math.Abs(p.TimeSec - nearest); diff > 1e-9 {
+			t.Fatalf("timestamp %v drifted %.2e from the step grid", p.TimeSec, diff)
+		}
 	}
 }
 
@@ -216,6 +256,55 @@ func TestCacheHitsAndInvalidation(t *testing.T) {
 	}
 	if third.Pos.X-first.Pos.X < 499 {
 		t.Fatalf("post-update estimate %v not shifted from %v", third.Pos, first.Pos)
+	}
+}
+
+// TestCacheRefusesEstimateFromSwappedKnowledge pins exact invalidation
+// under concurrency: an estimate whose computation straddles a
+// SetKnowledge was made against the old base, so it must not be cached
+// into the new generation and served to the next fix of the same Γ.
+func TestCacheRefusesEstimateFromSwappedKnowledge(t *testing.T) {
+	ap, dev := mac(0xA0, 1), mac(0xD0, 1)
+	oldK := core.NewKnowledge([]core.APInfo{{BSSID: ap, Pos: geom.Pt(0, 0), MaxRange: 100}})
+	newK := core.NewKnowledge([]core.APInfo{{BSSID: ap, Pos: geom.Pt(500, 0), MaxRange: 100}})
+	store := obs.NewStore()
+	store.Ingest(50, dot11.NewProbeResponse(ap, dev, "", 1, 1), true)
+
+	// The first Locate blocks until the test has swapped the knowledge;
+	// every estimate depends on the knowledge it is handed.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	loc := core.LocalizerFunc{Method: "blocking", Func: func(k core.Knowledge, gamma []dot11.MAC) (core.Estimate, error) {
+		first.Do(func() {
+			close(entered)
+			<-release
+		})
+		return core.MLoc(k, gamma)
+	}}
+	e := testEngine(t, Config{Know: oldK, Store: store, WindowSec: 30, Localizer: loc})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Fix(dev, 50)
+		done <- err
+	}()
+	<-entered
+	e.SetKnowledge(newK)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := e.Fix(dev, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MLoc(newK, []dot11.MAC{ap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Pos != want.Pos {
+		t.Fatalf("fix after the swap = %v, want %v from the new base (stale cache entry served)", got.Pos, want.Pos)
 	}
 }
 
@@ -313,16 +402,16 @@ func TestResetObservationsKeepsShardCount(t *testing.T) {
 func TestGammaCacheEviction(t *testing.T) {
 	c := newGammaCache(4)
 	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), core.Estimate{K: i}, nil)
+		c.put(fmt.Sprintf("k%d", i), 0, core.Estimate{K: i}, nil)
 	}
 	if c.len() != 4 {
 		t.Fatalf("len = %d", c.len())
 	}
-	c.put("overflow", core.Estimate{}, nil)
+	c.put("overflow", 0, core.Estimate{}, nil)
 	if c.len() != 1 {
 		t.Fatalf("eviction kept %d entries, want wholesale refill", c.len())
 	}
-	if _, _, ok := c.get("overflow"); !ok {
+	if _, _, ok := c.get("overflow", 0); !ok {
 		t.Error("new entry missing after eviction")
 	}
 }

@@ -49,7 +49,7 @@ var (
 // Per-stage wall-time histograms for the fix/ingest hot paths — the
 // always-on version of the stage durations sampled traces carry, so the
 // engine-level cost breakdown is a /metrics scrape away. Fix-path stages
-// (window_assembly, localize, region_update, trace_record) are sampled
+// (window_assembly, localize, trace_record) are sampled
 // 1-in-N (Config.StageSampleEvery) to keep the cached-fix path inside
 // the perf gate; batch-level stages (store_scan, ingest) are timed on
 // every occurrence. All stages share one sampling rate, so stage *shares*
@@ -57,7 +57,6 @@ var (
 var (
 	mStageWindow   = stageSeconds("window_assembly")
 	mStageLocalize = stageSeconds("localize")
-	mStageRegion   = stageSeconds("region_update")
 	mStageTrace    = stageSeconds("trace_record")
 	mStageScan     = stageSeconds("store_scan")
 	mStageIngest   = stageSeconds("ingest")

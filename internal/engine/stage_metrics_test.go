@@ -51,31 +51,6 @@ func TestStageHistogramsObserveEveryFixWhenSampled(t *testing.T) {
 	if got := stageDelta(before, after, "fix"); got != n {
 		t.Errorf("marauder_fix_seconds observations = %d, want %d", got, n)
 	}
-	// Untracked fixes must not observe the region_update stage.
-	if got := stageDelta(before, after, `stage="region_update"`); got != 0 {
-		t.Errorf("region_update observed %d times on untracked fixes", got)
-	}
-}
-
-func TestStageHistogramsTrackedPathUsesRegionUpdate(t *testing.T) {
-	k, store, devs := gridWorld(40, 2)
-	// Cache disabled so every Track step runs the tracked compute path.
-	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, StageSampleEvery: 1, CacheSize: -1})
-	if _, ok := e.Localizer().(core.TrackedLocalizer); !ok {
-		t.Skip("default localizer is not tracked")
-	}
-	before := stageCounts()
-	pts, err := e.Track(devs[0], 40, 60, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("track produced no points")
-	}
-	after := stageCounts()
-	if got := stageDelta(before, after, `stage="region_update"`); got == 0 {
-		t.Error("tracked fixes never observed region_update")
-	}
 }
 
 func TestStageSamplingDefaultsAndDisable(t *testing.T) {

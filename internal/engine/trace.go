@@ -50,26 +50,15 @@ func meanRange(k core.Knowledge, gamma []dot11.MAC) float64 {
 	return sum / float64(n)
 }
 
-// trackerArea unwraps RegionTracker.RegionArea behind a nil check.
-func trackerArea(rt *core.RegionTracker) (float64, bool) {
-	if rt == nil {
-		return 0, false
-	}
-	return rt.RegionArea()
-}
-
 // finishFix assembles the provenance record of one traced fix and files
 // the trace. The expensive fields — the exact intersected area and the
 // Theorem 2 quadrature — are computed only here, i.e. only for fixes the
 // sampler selected; unsampled and untraced fixes never pay for them.
-// know is the knowledge the estimate was actually computed against (not
-// re-read, so a concurrent SetKnowledge cannot misattribute the area).
-// rt, when non-nil, is the region tracker that computed this fix; its
-// path/diff telemetry lands in the record (callers pass nil for cache hits
-// and untracked fixes, whose estimates no tracker produced).
+// know and gen are the knowledge and generation the estimate was actually
+// computed against (not re-read, so a concurrent SetKnowledge cannot
+// misattribute the area).
 func (e *Engine) finishFix(tr *trace.Trace, dev dot11.MAC, gamma []dot11.MAC,
-	know core.Knowledge, est core.Estimate, err error, hit bool, start, end float64,
-	rt *core.RegionTracker) {
+	know core.Knowledge, gen uint64, est core.Estimate, err error, hit bool, start, end float64) {
 	if tr == nil {
 		return
 	}
@@ -82,15 +71,11 @@ func (e *Engine) finishFix(tr *trace.Trace, dev dot11.MAC, gamma []dot11.MAC,
 		WindowStart:  start,
 		WindowEnd:    end,
 		CacheHit:     hit,
-		KnowledgeGen: e.knowGen.Load(),
+		KnowledgeGen: gen,
 		Training:     e.lastTrain.Load(),
 	}
 	if p.K == 0 {
 		p.K = len(gamma)
-	}
-	if rt != nil {
-		p.RegionPath = rt.LastPath()
-		p.RegionDiff = rt.LastDiff()
 	}
 	if err != nil {
 		p.Err = err.Error()
@@ -101,16 +86,7 @@ func (e *Engine) finishFix(tr *trace.Trace, dev dot11.MAC, gamma []dot11.MAC,
 	}
 	if len(gamma) > 0 {
 		p.MeanRadiusM = meanRange(know, gamma)
-		// Tracked fixes already hold the live intersection region; serve
-		// the area from it instead of re-intersecting all |Γ| discs from
-		// scratch — on churny tracked workloads the full recompute would
-		// dominate the whole fix. Untracked fixes (and tracked calls that
-		// bypassed the region) pay the full computation as before.
-		if area, ok := trackerArea(rt); ok {
-			p.IntersectedAreaM2 = area
-		} else {
-			p.IntersectedAreaM2 = core.RegionArea(know, gamma)
-		}
+		p.IntersectedAreaM2 = core.RegionArea(know, gamma)
 		p.Theorem2AreaM2 = theorem2Area(p.K, p.MeanRadiusM)
 	}
 	sp.End()

@@ -98,25 +98,6 @@ func TestIntersectionAreaPermutationInvariance(t *testing.T) {
 	}
 }
 
-// The incremental Region inherits the same metamorphic contract through
-// the differential oracle; check one transform end-to-end so a regression
-// in either path is caught even if the other moves identically.
-func TestRegionTranslationInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	for trial := 0; trial < 50; trial++ {
-		discs := randomDiscSet(rng)
-		dx, dy := rng.Float64()*200-100, rng.Float64()*200-100
-		var r, moved Region
-		for i, c := range discs {
-			r.Add(uint64(i+1), c)
-			moved.Add(uint64(i+1), Circle{C: Pt(c.C.X+dx, c.C.Y+dy), R: c.R})
-		}
-		if a, b := r.Area(), moved.Area(); !relClose(a, b) {
-			t.Fatalf("trial %d: region area %.17g, translated %.17g", trial, a, b)
-		}
-	}
-}
-
 // TestIntersectionAreaLastEventWraparound is a regression test for the
 // a2 += 2π adjustment on the last sorted event: the arc from the largest
 // event angle wraps around to the smallest one, and dropping the 2π would
@@ -164,18 +145,5 @@ func TestInAllOthersProbeTolerance(t *testing.T) {
 	// area by O(1). Pin the former regime.
 	if math.Abs(got-want) > 1e-3*(1+want) {
 		t.Fatalf("near-grazing cover disc changed the lens: %.17g, want %.17g", got, want)
-	}
-	// The A–C pair sits in the degenerate band (cos half-angle within
-	// 1e-7 of −1), so the incremental Region must detect it and fall back
-	// to the full algorithm rather than risk an arc-selection flip.
-	var r Region
-	r.Add(1, a)
-	r.Add(2, b)
-	r.Add(3, c)
-	if !r.Degenerate() {
-		t.Fatal("near-tangent grazing pair not routed through the degenerate fallback")
-	}
-	if rg := r.Area(); rg != got {
-		t.Fatalf("Region.Area = %.17g, IntersectionArea = %.17g", rg, got)
 	}
 }

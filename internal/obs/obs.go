@@ -625,7 +625,7 @@ func absf(x float64) float64 {
 // sortMACs sorts in place without allocating: sort.Slice's interface
 // boxing and reflect swapper cost three heap allocations per call, which
 // is the difference between a zero-alloc and a three-alloc window query
-// on the tracked-fix hot path. Window Γs are small, so insertion sort
+// on the fix hot path. Window Γs are small, so insertion sort
 // covers the common case; larger slices take an in-place heapsort.
 func sortMACs(ms []dot11.MAC) {
 	if len(ms) <= 32 {

@@ -34,14 +34,6 @@ type Provenance struct {
 	// VertexCount is |Δ|, the disc-intersection vertex count (M-Loc
 	// family; 0 for the baselines).
 	VertexCount int `json:"vertexCount"`
-	// RegionPath reports how a tracked fix computed its intersection
-	// region: "incremental" (the previous window's region diffed by the Γ
-	// delta) or "full" (rebuilt from scratch or served by the plain
-	// algorithm). Empty for untracked fixes and cache hits.
-	RegionPath string `json:"regionPath,omitempty"`
-	// RegionDiff is the Γ delta (adds plus removes) a tracked fix applied;
-	// equals k on a full rebuild.
-	RegionDiff int `json:"regionDiff,omitempty"`
 	// IntersectedAreaM2 is the exact area of Γ's disc-intersection region
 	// — the paper's CA metric for this very estimate.
 	IntersectedAreaM2 float64 `json:"intersectedAreaM2"`

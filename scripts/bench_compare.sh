@@ -2,8 +2,8 @@
 # bench-compare: the perf-regression watchdog. Diffs the current PR's
 # BENCH_<pr>.json against the previous PR's checked-in baseline with
 # cmd/benchcompare and fails on gated regressions: latency p99 blowups
-# beyond the (noise-clamped) ratio, throughput collapse, a lost
-# churn-kernel speedup, a missing self-profile section, or a missing /
+# beyond the (noise-clamped) ratio, throughput collapse, a missing
+# self-profile section, or a missing /
 # unhealthy distributed-capture "agents" section (throughput, cursor
 # resume, exactly-once accounting). The gate ratios are generous because
 # the baseline was produced on different hardware; see cmd/benchcompare's
@@ -19,7 +19,7 @@ PREV="${2:-${PREV:-BENCH_9.json}}"
 REQUIRE_AGENTS="${REQUIRE_AGENTS:-1}"
 
 if [ ! -f "$CUR" ]; then
-    echo "bench_compare: current summary $CUR not found (run scripts/soak_smoke.sh and scripts/bench_churn.sh first)" >&2
+    echo "bench_compare: current summary $CUR not found (run scripts/soak_smoke.sh first)" >&2
     exit 1
 fi
 if [ ! -f "$PREV" ]; then
