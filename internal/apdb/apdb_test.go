@@ -18,9 +18,6 @@ func TestAddGetLen(t *testing.T) {
 	if db.Len() != 0 {
 		t.Error("new db not empty")
 	}
-	if _, ok := db.Nearest(geom.Pt(0, 0)); ok {
-		t.Error("Nearest on an empty store should report !ok")
-	}
 	e := Entry{BSSID: mac(1), SSID: "a", Pos: geom.Pt(1, 2), MaxRange: 100}
 	db.Add(e)
 	got, ok := db.Get(mac(1))
@@ -56,16 +53,6 @@ func TestWithin(t *testing.T) {
 	got := db.Within(geom.Pt(0, 0), 50)
 	if len(got) != 1 || got[0].BSSID != mac(1) {
 		t.Errorf("Within = %v", got)
-	}
-	// An Add made after a query is visible to the next query: the store
-	// publishes a fresh snapshot instead of serving a stale index.
-	late := Entry{BSSID: mac(3), Pos: geom.Pt(10, 0), MaxRange: 80}
-	db.Add(late)
-	if got := db.Within(geom.Pt(0, 0), 50); len(got) != 2 {
-		t.Errorf("Within after Add = %v, want both nearby APs", got)
-	}
-	if near, ok := db.Nearest(geom.Pt(11, 0)); !ok || near != late {
-		t.Errorf("Nearest after Add = %+v, %v, want the late AP", near, ok)
 	}
 }
 

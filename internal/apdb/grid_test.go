@@ -9,6 +9,11 @@ import (
 	"repro/internal/geom"
 )
 
+// These tests pin the edge cases of the store's grid-indexed spatial
+// queries (Within, Nearest) that the scan-equivalence property in
+// store_test.go does not reach: an empty store, a negative radius, a
+// point far off the grid, and Adds made after the grid was first built.
+
 func randomDB(n int, seed int64) (*DB, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	db := New()
@@ -21,56 +26,24 @@ func randomDB(n int, seed int64) (*DB, *rand.Rand) {
 	return db, rng
 }
 
-func TestGridIndexMatchesLinearScan(t *testing.T) {
-	db, rng := randomDB(200, 1)
-	idx := NewGridIndex(db, 150)
-	if idx.Len() != 200 {
-		t.Fatalf("indexed %d", idx.Len())
-	}
-	// The reference side is the snapshot's exported linear scan, so this
-	// compares the grid against ground truth rather than against itself.
-	sn := db.Snapshot()
-	for trial := 0; trial < 50; trial++ {
-		p := geom.Pt(rng.Float64()*2200-1100, rng.Float64()*2200-1100)
-		dist := rng.Float64() * 500
-		want := sn.ScanWithin(p, dist)
-		got := idx.Within(p, dist)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: grid %d vs linear %d entries", trial, len(got), len(want))
-		}
-		wantSet := make(map[string]bool, len(want))
-		for _, e := range want {
-			wantSet[e.BSSID.String()] = true
-		}
-		for _, e := range got {
-			if !wantSet[e.BSSID.String()] {
-				t.Fatalf("trial %d: grid returned %v not in linear result", trial, e.BSSID)
-			}
-		}
-	}
-}
-
 func TestGridIndexWithinEdgeCases(t *testing.T) {
 	db, _ := randomDB(10, 2)
-	idx := NewGridIndex(db, 0) // invalid cell size falls back to default
-	if got := idx.Within(geom.Pt(0, 0), -1); got != nil {
+	if got := db.Within(geom.Pt(0, 0), -1); len(got) != 0 {
 		t.Error("negative radius should return nothing")
 	}
-	if got := idx.Within(geom.Pt(1e7, 1e7), 10); len(got) != 0 {
+	if got := db.Within(geom.Pt(1e7, 1e7), 10); len(got) != 0 {
 		t.Error("far query should be empty")
 	}
 }
 
 func TestGridIndexNearest(t *testing.T) {
-	empty := NewGridIndex(New(), 100)
-	if _, ok := empty.Nearest(geom.Pt(0, 0)); ok {
-		t.Error("empty index should report !ok")
+	if _, ok := New().Nearest(geom.Pt(0, 0)); ok {
+		t.Error("empty store should report !ok")
 	}
 	db, rng := randomDB(150, 3)
-	idx := NewGridIndex(db, 120)
 	f := func(seed int64) bool {
 		p := geom.Pt(rng.Float64()*2400-1200, rng.Float64()*2400-1200)
-		got, ok := idx.Nearest(p)
+		got, ok := db.Nearest(p)
 		if !ok {
 			return false
 		}
@@ -90,49 +63,31 @@ func TestGridIndexNearest(t *testing.T) {
 	}
 }
 
-func TestGridIndexGet(t *testing.T) {
-	db, _ := randomDB(20, 4)
-	idx := NewGridIndex(db, 100)
-	want, _ := db.Get(mac(7))
-	got, ok := idx.Get(mac(7))
-	if !ok || got != want {
-		t.Errorf("Get = %v, %v", got, ok)
-	}
-	if _, ok := idx.Get(mac(200)); ok {
-		t.Error("missing entry found")
-	}
-}
-
-// TestGridIndexSeesLaterAdds pins the staleness fix: the index used to be
-// a one-shot snapshot that silently ignored entries added after
-// construction; it is now a live view, so Within, Nearest and Get must
-// all observe a post-construction Add.
+// TestGridIndexSeesLaterAdds pins that the grid never goes stale: once
+// Within and Nearest have built it, an Add is still visible to the next
+// Within, Nearest and Get.
 func TestGridIndexSeesLaterAdds(t *testing.T) {
 	db, _ := randomDB(50, 6)
-	idx := NewGridIndex(db, 150)
-	if idx.Len() != 50 {
-		t.Fatalf("indexed %d", idx.Len())
-	}
 	// Warm every query path so any one-shot caching would be locked in.
-	idx.Within(geom.Pt(0, 0), 100)
-	idx.Nearest(geom.Pt(5000, 5000))
+	db.Within(geom.Pt(0, 0), 100)
+	db.Nearest(geom.Pt(5000, 5000))
 
 	late := Entry{BSSID: mac(200), Pos: geom.Pt(5000, 5000), MaxRange: 80}
 	db.Add(late)
 
-	if idx.Len() != 51 {
-		t.Fatalf("Len after Add = %d, want 51", idx.Len())
+	if db.Len() != 51 {
+		t.Fatalf("Len after Add = %d, want 51", db.Len())
 	}
-	got, ok := idx.Get(late.BSSID)
+	got, ok := db.Get(late.BSSID)
 	if !ok || got != late {
 		t.Fatalf("Get after Add = %+v, %v", got, ok)
 	}
-	within := idx.Within(geom.Pt(5000, 5000), 10)
+	within := db.Within(geom.Pt(5000, 5000), 10)
 	if len(within) != 1 || within[0].BSSID != late.BSSID {
 		t.Fatalf("Within after Add = %+v, want the late AP", within)
 	}
-	near, ok := idx.Nearest(geom.Pt(4990, 5010))
+	near, ok := db.Nearest(geom.Pt(4990, 5010))
 	if !ok || near.BSSID != late.BSSID {
-		t.Fatalf("Nearest after Add = %+v, want the late AP", near)
+		t.Fatalf("Nearest after Add = %+v, %v, want the late AP", near, ok)
 	}
 }

@@ -61,38 +61,56 @@ func samePoints(t *testing.T, ctx string, got, want []core.TrackPoint) {
 	}
 }
 
-// TestTrackMatchesPerWindowFixes pins Track against fixing every window
-// independently with plain M-Loc, bit for bit, with the Γ cache disabled
-// (every fix runs the algorithm) and enabled (a repeat Track is served
-// from the cache). Points a caller retains must survive later fixes and
-// the cache entries that share their vertices: a second Track leaves the
-// first one's output intact.
-func TestTrackMatchesPerWindowFixes(t *testing.T) {
+// TestTrackIncrementalMatchesFull pins Track, which walks a trajectory
+// one window at a time, against fixing every window independently with
+// plain M-Loc, bit for bit. The Γ cache is disabled, so every fix runs the
+// algorithm. The first Track's points must stay intact across a second
+// Track that reuses nothing from the first.
+func TestTrackIncrementalMatchesFull(t *testing.T) {
 	know, store, dev, endSec := lineWalkWorld(20, 8)
 	want := referenceTrack(know, store, dev, 0, endSec, 30, 30)
 	if len(want) == 0 {
 		t.Fatal("reference track produced no points")
 	}
-	for _, tc := range []struct {
-		name      string
-		cacheSize int
-	}{{"uncached", -1}, {"cached", 0}} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := testEngine(t, Config{Know: know, Store: store, WindowSec: 30, CacheSize: tc.cacheSize})
-			first, err := e.Track(dev, 0, endSec, 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePoints(t, "first Track", first, want)
-			again, err := e.Track(dev, 0, endSec, 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePoints(t, "second Track", again, want)
-			samePoints(t, "first Track after second Track", first, want)
-			if st := e.Stats(); (st.CacheHits > 0) != (tc.cacheSize >= 0) {
-				t.Fatalf("cache hits %d with CacheSize %d", st.CacheHits, tc.cacheSize)
-			}
-		})
+	e := testEngine(t, Config{Know: know, Store: store, WindowSec: 30, CacheSize: -1})
+	got, err := e.Track(dev, 0, endSec, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoints(t, "Track vs per-window M-Loc", got, want)
+	again, err := e.Track(dev, 0, endSec, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoints(t, "first Track after second Track", got, want)
+	samePoints(t, "second Track", again, want)
+	if st := e.Stats(); st.CacheHits != 0 {
+		t.Fatalf("cache hits %d with caching disabled", st.CacheHits)
+	}
+}
+
+// TestTrackCachedVerticesDetached pins the aliasing contract on the
+// cached path: points a caller retains must not share storage with the Γ
+// cache or with later fixes, so a cache-filling Track followed by a
+// cache-served one leaves both bit-equal to the per-window reference.
+func TestTrackCachedVerticesDetached(t *testing.T) {
+	know, store, dev, endSec := lineWalkWorld(20, 8)
+	want := referenceTrack(know, store, dev, 0, endSec, 30, 30)
+	if len(want) == 0 {
+		t.Fatal("reference track produced no points")
+	}
+	cached := testEngine(t, Config{Know: know, Store: store, WindowSec: 30})
+	first, err := cached.Track(dev, 0, endSec, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cached.Track(dev, 0, endSec, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePoints(t, "cache-filling Track", first, want)
+	samePoints(t, "cache-served Track", second, want)
+	if st := cached.Stats(); st.CacheHits == 0 {
+		t.Fatalf("second Track hit the cache 0 times: %+v", st)
 	}
 }
