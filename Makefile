@@ -48,26 +48,29 @@ bench-store:
 bench-test:
 	cd enginebench && $(GO) test .
 
-# Perf-regression watchdog: diff the current BENCH_<pr>.json against the
-# previous PR's checked-in baseline and fail on gated regressions (p99
-# blowups, throughput collapse, missing profile).
+# Perf-regression watchdog: diff the current BENCH_<n>.json (the
+# highest-numbered one; scripts/bench_ids.sh) against the next lower
+# checked-in baseline and fail on gated regressions (p99 blowups,
+# throughput collapse, missing profile).
 bench-compare:
 	sh scripts/bench_compare.sh
 
-# Regenerate the current PR's versioned perf summary: two mini-soaks
-# (chaos off/on) through the flight recorder and the loopback agent-fleet
-# run, merged into BENCH_10.json, then the regression watchdog against
-# the previous baseline.
+# Regenerate the current versioned perf summary: two mini-soaks (chaos
+# off/on) through the flight recorder and the loopback agent-fleet run,
+# merged into the highest-numbered BENCH_<n>.json (scripts/bench_ids.sh),
+# then the regression watchdog against the next lower baseline.
 bench-pr:
 	sh scripts/soak_smoke.sh
 	sh scripts/bench_compare.sh
 
-# Short fuzzing burst over every fuzz target: the frame parsers, the
-# sharded store's record ingest, the AP-snapshot codec and the capwire
-# decoder. Checked-in corpora under
-# testdata/fuzz replay as plain tests; this keeps mining.
+# Short fuzzing burst over every fuzz target: the frame parsers (with the
+# aliasing DecodeInto held to the copying Decode), the sharded store's
+# record ingest, the AP-snapshot codec and the capwire decoder.
+# Checked-in corpora under testdata/fuzz replay as plain tests; this
+# keeps mining.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime=10s ./internal/dot11
+	$(GO) test -run xxx -fuzz 'FuzzDecodeInto$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzDecodeRadiotap$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzFrameParse$$' -fuzztime=10s ./internal/dot11
 	$(GO) test -run xxx -fuzz 'FuzzIngest$$' -fuzztime=10s ./internal/obs

@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/dot11"
 	"repro/internal/sniffer"
@@ -130,47 +131,46 @@ const (
 	flagHasFrame = 1 << 1
 )
 
+// itemHeader is the fixed part of one batch item on the wire: time,
+// SNR, channel, card channel, live mask, flags and data length.
+const itemHeader = 8 + 8 + 2 + 2 + 2 + 1 + 4
+
 // AppendMessage appends msg's wire encoding to dst and returns the
 // extended slice. msg must be one of *Hello, *HelloAck, *Batch, *Ack,
-// *Heartbeat.
+// *Heartbeat. It sizes the message first and grows dst at most once.
 func AppendMessage(dst []byte, msg any) ([]byte, error) {
-	var typ byte
-	var payload []byte
+	typ, plen, err := payloadLen(msg)
+	if err != nil {
+		return nil, err
+	}
+	if plen > MaxPayload {
+		return nil, fmt.Errorf("capwire: payload %d bytes, max %d", plen, MaxPayload)
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, headerLen+plen+trailerLen)
+	dst = append(dst, magic[:]...)
+	dst = append(dst, Version, typ)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(plen))
 	switch m := msg.(type) {
 	case *Hello:
-		if len(m.AgentID) == 0 || len(m.AgentID) > MaxAgentID {
-			return nil, fmt.Errorf("capwire: agent ID length %d, want 1..%d", len(m.AgentID), MaxAgentID)
-		}
-		typ = TypeHello
-		payload = make([]byte, 0, 2+len(m.AgentID))
-		payload = binary.BigEndian.AppendUint16(payload, uint16(len(m.AgentID)))
-		payload = append(payload, m.AgentID...)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.AgentID)))
+		dst = append(dst, m.AgentID...)
 	case *HelloAck:
-		typ = TypeHelloAck
-		payload = binary.BigEndian.AppendUint64(nil, m.Cursor)
+		dst = binary.BigEndian.AppendUint64(dst, m.Cursor)
 	case *Ack:
-		typ = TypeAck
-		payload = binary.BigEndian.AppendUint64(nil, m.Cursor)
+		dst = binary.BigEndian.AppendUint64(dst, m.Cursor)
 	case *Heartbeat:
-		typ = TypeHeartbeat
-		payload = binary.BigEndian.AppendUint32(nil, m.QueuedBatches)
+		dst = binary.BigEndian.AppendUint32(dst, m.QueuedBatches)
 	case *Batch:
-		if len(m.Items) > MaxBatchItems {
-			return nil, fmt.Errorf("capwire: batch has %d items, max %d", len(m.Items), MaxBatchItems)
-		}
-		typ = TypeBatch
-		payload = binary.BigEndian.AppendUint64(nil, m.Seq)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(m.Items)))
+		dst = binary.BigEndian.AppendUint64(dst, m.Seq)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Items)))
 		for i := range m.Items {
 			it := &m.Items[i]
-			if len(it.Data) > maxItemData {
-				return nil, fmt.Errorf("capwire: item %d data %d bytes, max %d", i, len(it.Data), maxItemData)
-			}
-			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(it.TimeSec))
-			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(it.SNRDB))
-			payload = binary.BigEndian.AppendUint16(payload, it.Channel)
-			payload = binary.BigEndian.AppendUint16(payload, it.CardChannel)
-			payload = binary.BigEndian.AppendUint16(payload, it.LiveMask)
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(it.TimeSec))
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(it.SNRDB))
+			dst = binary.BigEndian.AppendUint16(dst, it.Channel)
+			dst = binary.BigEndian.AppendUint16(dst, it.CardChannel)
+			dst = binary.BigEndian.AppendUint16(dst, it.LiveMask)
 			var flags byte
 			if it.FromAP {
 				flags |= flagFromAP
@@ -178,25 +178,44 @@ func AppendMessage(dst []byte, msg any) ([]byte, error) {
 			if it.HasFrame {
 				flags |= flagHasFrame
 			}
-			payload = append(payload, flags)
-			payload = binary.BigEndian.AppendUint32(payload, uint32(len(it.Data)))
-			payload = append(payload, it.Data...)
+			dst = append(dst, flags)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(it.Data)))
+			dst = append(dst, it.Data...)
 		}
-	default:
-		return nil, fmt.Errorf("capwire: cannot encode %T", msg)
 	}
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("capwire: payload %d bytes, max %d", len(payload), MaxPayload)
-	}
+	sum := crc32.ChecksumIEEE(dst[start+4:]) // version..payload
+	return binary.BigEndian.AppendUint32(dst, sum), nil
+}
 
-	start := len(dst)
-	dst = append(dst, magic[:]...)
-	dst = append(dst, Version, typ)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	sum := crc32.ChecksumIEEE(dst[start+4 : len(dst)]) // version..payload
-	dst = binary.BigEndian.AppendUint32(dst, sum)
-	return dst, nil
+// payloadLen validates msg and returns its message type and payload
+// length.
+func payloadLen(msg any) (byte, int, error) {
+	switch m := msg.(type) {
+	case *Hello:
+		if len(m.AgentID) == 0 || len(m.AgentID) > MaxAgentID {
+			return 0, 0, fmt.Errorf("capwire: agent ID length %d, want 1..%d", len(m.AgentID), MaxAgentID)
+		}
+		return TypeHello, 2 + len(m.AgentID), nil
+	case *HelloAck:
+		return TypeHelloAck, 8, nil
+	case *Ack:
+		return TypeAck, 8, nil
+	case *Heartbeat:
+		return TypeHeartbeat, 4, nil
+	case *Batch:
+		if len(m.Items) > MaxBatchItems {
+			return 0, 0, fmt.Errorf("capwire: batch has %d items, max %d", len(m.Items), MaxBatchItems)
+		}
+		n := 8 + 4 // seq + count
+		for i := range m.Items {
+			if d := len(m.Items[i].Data); d > maxItemData {
+				return 0, 0, fmt.Errorf("capwire: item %d data %d bytes, max %d", i, d, maxItemData)
+			}
+			n += itemHeader + len(m.Items[i].Data)
+		}
+		return TypeBatch, n, nil
+	}
+	return 0, 0, fmt.Errorf("capwire: cannot encode %T", msg)
 }
 
 // EncodeMessage returns msg's wire encoding.
@@ -208,7 +227,9 @@ func EncodeMessage(msg any) ([]byte, error) {
 // message and the number of bytes consumed. Any framing, checksum or
 // payload violation is an error; decoding never panics on arbitrary
 // input, and an accepted message re-encodes to exactly the consumed
-// bytes.
+// bytes. A decoded Batch's Item.Data slices alias b, so the caller must
+// not modify or reuse b while the batch, or any capture converted from
+// it, is in use.
 func DecodeMessage(b []byte) (any, int, error) {
 	if len(b) < headerLen+trailerLen {
 		return nil, 0, fmt.Errorf("capwire: short message: %d bytes", len(b))
@@ -278,9 +299,10 @@ func decodePayload(typ byte, p []byte) (any, error) {
 			return nil, fmt.Errorf("capwire: batch claims %d items, max %d", count, MaxBatchItems)
 		}
 		p = p[12:]
-		b.Items = make([]Item, 0, min(int(count), 1024))
+		// Every item takes at least itemHeader bytes, so the payload
+		// bounds the allocation whatever count claims.
+		b.Items = make([]Item, 0, min(int(count), len(p)/itemHeader))
 		for i := uint32(0); i < count; i++ {
-			const itemHeader = 8 + 8 + 2 + 2 + 2 + 1 + 4
 			if len(p) < itemHeader {
 				return nil, fmt.Errorf("capwire: batch item %d: %d bytes left", i, len(p))
 			}
@@ -306,7 +328,7 @@ func decodePayload(typ byte, p []byte) (any, error) {
 				return nil, fmt.Errorf("capwire: batch item %d: data %d bytes, %d left", i, dlen, len(p))
 			}
 			if dlen > 0 {
-				it.Data = append([]byte(nil), p[:dlen]...)
+				it.Data = p[:dlen:dlen]
 			}
 			p = p[dlen:]
 			b.Items = append(b.Items, it)
@@ -319,32 +341,33 @@ func decodePayload(typ byte, p []byte) (any, error) {
 	return nil, fmt.Errorf("capwire: unknown message type %d", typ)
 }
 
-// ReadMessage reads exactly one message from r. It allocates at most
-// MaxPayload bytes for the payload and returns any framing error as-is;
-// io.EOF before the first header byte means a clean close.
+// ReadMessage reads exactly one message from r into one buffer sized
+// from the header, so the decoded message aliases that buffer (see
+// DecodeMessage). It allocates at most MaxPayload bytes for the payload
+// and returns any framing error as-is; io.EOF before the first header
+// byte means a clean close.
 func ReadMessage(r io.Reader) (any, error) {
-	head := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, head); err != nil {
+	buf := make([]byte, headerLen)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	if [4]byte(head[:4]) != magic {
-		return nil, fmt.Errorf("capwire: bad magic %x", head[:4])
+	if [4]byte(buf[:4]) != magic {
+		return nil, fmt.Errorf("capwire: bad magic %x", buf[:4])
 	}
-	if head[4] != Version {
-		return nil, fmt.Errorf("capwire: unsupported version %d", head[4])
+	if buf[4] != Version {
+		return nil, fmt.Errorf("capwire: unsupported version %d", buf[4])
 	}
-	plen := binary.BigEndian.Uint32(head[6:10])
+	plen := binary.BigEndian.Uint32(buf[6:10])
 	if plen > MaxPayload {
 		return nil, fmt.Errorf("capwire: payload claims %d bytes, max %d", plen, MaxPayload)
 	}
-	rest := make([]byte, int(plen)+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	buf = append(buf, make([]byte, int(plen)+trailerLen)...) // one growth, header kept in place
+	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	buf := append(head, rest...)
 	msg, _, err := DecodeMessage(buf)
 	return msg, err
 }
@@ -353,6 +376,14 @@ func ReadMessage(r io.Reader) (any, error) {
 // frames are re-encoded (bit-exact by dot11's round-trip contract);
 // corrupt captures travel as their raw bytes with HasFrame unset.
 func ItemFromCapture(c sniffer.Capture) (Item, error) {
+	it, _, err := appendItem(nil, &c)
+	return it, err
+}
+
+// appendItem converts c to its wire form, encoding its frame onto the
+// end of arena. The item's Data is capped at the frame's end so an
+// append to it cannot reach the next frame's bytes.
+func appendItem(arena []byte, c *sniffer.Capture) (Item, []byte, error) {
 	it := Item{
 		TimeSec:     c.TimeSec,
 		SNRDB:       c.SNRDB,
@@ -361,26 +392,46 @@ func ItemFromCapture(c sniffer.Capture) (Item, error) {
 		LiveMask:    c.LiveMask,
 		FromAP:      c.FromAP,
 	}
-	if c.Frame != nil {
-		data, err := c.Frame.Encode()
-		if err != nil {
-			return Item{}, fmt.Errorf("capwire: encode frame: %w", err)
-		}
-		it.Data = data
-		it.HasFrame = true
-	} else {
+	if c.Frame == nil {
 		it.Data = c.Raw
+		return it, arena, nil
 	}
-	return it, nil
+	start := len(arena)
+	arena, err := c.Frame.AppendEncode(arena)
+	if err != nil {
+		return Item{}, nil, fmt.Errorf("capwire: encode frame: %w", err)
+	}
+	it.Data = arena[start:len(arena):len(arena)]
+	it.HasFrame = true
+	return it, arena, nil
 }
 
-// ToCapture converts a wire item back to a sniffer capture. An item
-// whose frame bytes no longer decode (wire corruption beyond what the
-// CRC caught cannot reach here; this covers agent-side corruption sent
-// deliberately as HasFrame) degrades to a raw capture for the engine's
-// quarantine path.
-func (it Item) ToCapture() sniffer.Capture {
-	c := sniffer.Capture{
+// BatchFromCaptures builds a sequenced wire batch from captures. Every
+// frame is encoded into one arena sized up front, so a batch costs a
+// fixed handful of allocations whatever its length. Raw captures'
+// Data aliases their Raw bytes.
+func BatchFromCaptures(seq uint64, caps []sniffer.Capture) (*Batch, error) {
+	size := 0
+	for i := range caps {
+		if caps[i].Frame != nil {
+			size += caps[i].Frame.EncodedLen()
+		}
+	}
+	arena := make([]byte, 0, size)
+	b := &Batch{Seq: seq, Items: make([]Item, len(caps))}
+	for i := range caps {
+		var err error
+		if b.Items[i], arena, err = appendItem(arena, &caps[i]); err != nil {
+			return nil, fmt.Errorf("capwire: capture %d: %w", i, err)
+		}
+	}
+	return b, nil
+}
+
+// capture returns the item's capture metadata, without frame or raw
+// bytes.
+func (it *Item) capture() sniffer.Capture {
+	return sniffer.Capture{
 		TimeSec:     it.TimeSec,
 		Channel:     int(it.Channel),
 		CardChannel: int(it.CardChannel),
@@ -388,6 +439,15 @@ func (it Item) ToCapture() sniffer.Capture {
 		FromAP:      it.FromAP,
 		LiveMask:    it.LiveMask,
 	}
+}
+
+// ToCapture converts a wire item back to a sniffer capture that owns
+// its memory. An item whose frame bytes no longer decode (wire
+// corruption beyond what the CRC caught cannot reach here; this covers
+// agent-side corruption sent deliberately as HasFrame) degrades to a raw
+// capture for the engine's quarantine path.
+func (it Item) ToCapture() sniffer.Capture {
+	c := it.capture()
 	if it.HasFrame {
 		if f, err := dot11.Decode(it.Data); err == nil {
 			c.Frame = f
@@ -398,24 +458,52 @@ func (it Item) ToCapture() sniffer.Capture {
 	return c
 }
 
-// BatchFromCaptures builds a sequenced wire batch from captures.
-func BatchFromCaptures(seq uint64, caps []sniffer.Capture) (*Batch, error) {
-	b := &Batch{Seq: seq, Items: make([]Item, 0, len(caps))}
-	for i, c := range caps {
-		it, err := ItemFromCapture(c)
-		if err != nil {
-			return nil, fmt.Errorf("capwire: capture %d: %w", i, err)
-		}
-		b.Items = append(b.Items, it)
-	}
-	return b, nil
-}
+// iesPerFrame sizes ToCaptures' IE slab: SSID, supported rates and DS
+// parameter set, the elements of a beacon or probe response. A frame
+// with more IEs than the slab has left gets its own array.
+const iesPerFrame = 3
 
-// ToCaptures converts the batch's items for engine ingest.
+// ToCaptures converts the batch's items for engine ingest; it agrees
+// with ToCapture item by item. The captures, their frames and the
+// frames' IEs come from three per-batch slabs, and the IE data aliases
+// the items' Data (and so the message the batch was decoded from): a
+// consumer that keeps one frame keeps the whole batch alive. Each
+// frame's IEs are capped at its own, so an append to them cannot
+// overwrite a neighbour's. Raw captures are copied, as in ToCapture.
 func (b *Batch) ToCaptures() []sniffer.Capture {
-	caps := make([]sniffer.Capture, 0, len(b.Items))
-	for _, it := range b.Items {
-		caps = append(caps, it.ToCapture())
+	nFrames := 0
+	for i := range b.Items {
+		if b.Items[i].HasFrame {
+			nFrames++
+		}
+	}
+	caps := make([]sniffer.Capture, len(b.Items))
+	frames := make([]dot11.Frame, nFrames)
+	ies := make([]dot11.IE, 0, iesPerFrame*nFrames)
+	for i := range b.Items {
+		it := &b.Items[i]
+		caps[i] = it.capture()
+		if it.HasFrame {
+			f := &frames[0]
+			f.IEs = ies[len(ies):]
+			if err := dot11.DecodeInto(f, it.Data); err == nil {
+				frames = frames[1:]
+				n := len(f.IEs)
+				if n <= cap(ies)-len(ies) {
+					// DecodeInto's appends fit, so the IEs sit in the
+					// slab; otherwise append gave them their own array.
+					ies = ies[:len(ies)+n]
+				}
+				if n == 0 {
+					f.IEs = nil // as Decode leaves a frame without IEs
+				} else {
+					f.IEs = f.IEs[:n:n]
+				}
+				caps[i].Frame = f
+				continue
+			}
+		}
+		caps[i].Raw = append([]byte(nil), it.Data...)
 	}
 	return caps
 }

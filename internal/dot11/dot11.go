@@ -11,6 +11,7 @@
 package dot11
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,8 +108,8 @@ type Frame struct {
 	Addr1    MAC
 	Addr2    MAC
 	Addr3    MAC
-	Seq      uint16 // sequence number (12 bits)
-	Frag     uint8  // fragment number (4 bits)
+	Seq      uint16 // sequence number (12 bits, at most MaxSeq)
+	Frag     uint8  // fragment number (4 bits, at most MaxFrag)
 
 	// Management-frame fixed fields (beacon / probe response only).
 	Timestamp      uint64
@@ -155,75 +156,114 @@ func (f *Frame) Channel() (int, bool) {
 	return 0, false
 }
 
+// Largest values of the 12-bit sequence number and the 4-bit fragment
+// number in the sequence control field.
+const (
+	MaxSeq  = 0x0FFF
+	MaxFrag = 0x0F
+)
+
+// EncodedLen returns the length of the frame's wire encoding, FCS
+// included.
+func (f *Frame) EncodedLen() int {
+	n := mgmtHeaderLen + 4 // header + FCS
+	if f.hasFixedFields() {
+		n += fixedFieldsLen
+	}
+	for _, ie := range f.IEs {
+		n += 2 + len(ie.Data)
+	}
+	return n
+}
+
 // Encode serializes the frame to wire format including the trailing FCS.
 func (f *Frame) Encode() ([]byte, error) {
+	return f.AppendEncode(make([]byte, 0, f.EncodedLen()))
+}
+
+// AppendEncode appends the frame's wire encoding, trailing FCS included,
+// to dst and returns the extended slice. A field that does not fit its
+// wire width is an error, never truncated.
+func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	if f.Type != TypeManagement {
 		return nil, ErrNotMgmt
 	}
-	size := mgmtHeaderLen
-	if f.hasFixedFields() {
-		size += fixedFieldsLen
+	if f.Seq > MaxSeq {
+		return nil, fmt.Errorf("dot11: sequence number %d exceeds %d", f.Seq, MaxSeq)
+	}
+	if f.Frag > MaxFrag {
+		return nil, fmt.Errorf("dot11: fragment number %d exceeds %d", f.Frag, MaxFrag)
 	}
 	for _, ie := range f.IEs {
 		if len(ie.Data) > 255 {
 			return nil, fmt.Errorf("dot11: IE %d data too long (%d bytes)", ie.ID, len(ie.Data))
 		}
-		size += 2 + len(ie.Data)
 	}
-	size += 4 // FCS
-	buf := make([]byte, 0, size)
-
+	start := len(dst)
 	fc := uint16(f.Type)<<2 | uint16(f.Subtype)<<4 // version 0
-	buf = binary.LittleEndian.AppendUint16(buf, fc)
-	buf = binary.LittleEndian.AppendUint16(buf, f.Duration)
-	buf = append(buf, f.Addr1[:]...)
-	buf = append(buf, f.Addr2[:]...)
-	buf = append(buf, f.Addr3[:]...)
-	seqCtl := f.Seq<<4 | uint16(f.Frag&0x0f)
-	buf = binary.LittleEndian.AppendUint16(buf, seqCtl)
+	dst = binary.LittleEndian.AppendUint16(dst, fc)
+	dst = binary.LittleEndian.AppendUint16(dst, f.Duration)
+	dst = append(dst, f.Addr1[:]...)
+	dst = append(dst, f.Addr2[:]...)
+	dst = append(dst, f.Addr3[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, f.Seq<<4|uint16(f.Frag))
 
 	if f.hasFixedFields() {
-		buf = binary.LittleEndian.AppendUint64(buf, f.Timestamp)
-		buf = binary.LittleEndian.AppendUint16(buf, f.BeaconInterval)
-		buf = binary.LittleEndian.AppendUint16(buf, f.Capability)
+		dst = binary.LittleEndian.AppendUint64(dst, f.Timestamp)
+		dst = binary.LittleEndian.AppendUint16(dst, f.BeaconInterval)
+		dst = binary.LittleEndian.AppendUint16(dst, f.Capability)
 	}
 	for _, ie := range f.IEs {
-		buf = append(buf, ie.ID, byte(len(ie.Data)))
-		buf = append(buf, ie.Data...)
+		dst = append(dst, ie.ID, byte(len(ie.Data)))
+		dst = append(dst, ie.Data...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
-// Decode parses a wire-format frame, verifying the FCS.
+// Decode parses a wire-format frame, verifying the FCS. The returned
+// frame owns its memory: it shares no bytes with b.
 func Decode(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := DecodeInto(f, bytes.Clone(b)); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// DecodeInto parses a wire-format frame into f, verifying the FCS. It
+// overwrites every field of f and appends the IEs to f.IEs[:0], so a
+// caller can hand it a reused IE array. Each IE's Data aliases b; the
+// caller must not modify b while f is in use. On error f holds
+// unspecified contents.
+func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < mgmtHeaderLen+4 {
-		return nil, ErrShortFrame
+		return ErrShortFrame
 	}
 	payload, fcsBytes := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fcsBytes) {
-		return nil, ErrBadFCS
+		return ErrBadFCS
 	}
 	fc := binary.LittleEndian.Uint16(payload[0:2])
-	f := &Frame{
+	seqCtl := binary.LittleEndian.Uint16(payload[22:24])
+	*f = Frame{
 		Type:     FrameType(fc >> 2 & 0x3),
 		Subtype:  Subtype(fc >> 4 & 0xf),
 		Duration: binary.LittleEndian.Uint16(payload[2:4]),
+		Addr1:    MAC(payload[4:10]),
+		Addr2:    MAC(payload[10:16]),
+		Addr3:    MAC(payload[16:22]),
+		Seq:      seqCtl >> 4,
+		Frag:     uint8(seqCtl & 0xf),
+		IEs:      f.IEs[:0],
 	}
 	if f.Type != TypeManagement {
-		return nil, ErrNotMgmt
+		return ErrNotMgmt
 	}
-	copy(f.Addr1[:], payload[4:10])
-	copy(f.Addr2[:], payload[10:16])
-	copy(f.Addr3[:], payload[16:22])
-	seqCtl := binary.LittleEndian.Uint16(payload[22:24])
-	f.Seq = seqCtl >> 4
-	f.Frag = uint8(seqCtl & 0xf)
 
 	rest := payload[mgmtHeaderLen:]
 	if f.hasFixedFields() {
 		if len(rest) < fixedFieldsLen {
-			return nil, ErrShortFrame
+			return ErrShortFrame
 		}
 		f.Timestamp = binary.LittleEndian.Uint64(rest[0:8])
 		f.BeaconInterval = binary.LittleEndian.Uint16(rest[8:10])
@@ -232,22 +272,22 @@ func Decode(b []byte) (*Frame, error) {
 	}
 	for len(rest) > 0 {
 		if len(rest) < 2 {
-			return nil, ErrShortFrame
+			return ErrShortFrame
 		}
 		id, l := rest[0], int(rest[1])
 		if len(rest) < 2+l {
-			return nil, ErrShortFrame
+			return ErrShortFrame
 		}
-		data := make([]byte, l)
-		copy(data, rest[2:2+l])
-		f.IEs = append(f.IEs, IE{ID: id, Data: data})
+		f.IEs = append(f.IEs, IE{ID: id, Data: rest[2 : 2+l : 2+l]})
 		rest = rest[2+l:]
 	}
-	return f, nil
+	return nil
 }
 
 // NewProbeRequest builds a broadcast probe request from src for the given
-// SSID ("" for the wildcard directed at any AP).
+// SSID ("" for the wildcard directed at any AP). Like every constructor
+// here it takes seq as a running counter and wraps it modulo 4096 into
+// the 12-bit sequence number.
 func NewProbeRequest(src MAC, ssid string, seq uint16) *Frame {
 	return &Frame{
 		Type:    TypeManagement,
@@ -255,7 +295,7 @@ func NewProbeRequest(src MAC, ssid string, seq uint16) *Frame {
 		Addr1:   Broadcast,
 		Addr2:   src,
 		Addr3:   Broadcast,
-		Seq:     seq,
+		Seq:     seq & MaxSeq,
 		IEs: []IE{
 			{ID: EIDSSID, Data: []byte(ssid)},
 			{ID: EIDSupportedRates, Data: []byte{0x82, 0x84, 0x8b, 0x96}},
@@ -271,7 +311,7 @@ func NewProbeResponse(ap, dst MAC, ssid string, channel int, seq uint16) *Frame 
 		Addr1:          dst,
 		Addr2:          ap,
 		Addr3:          ap,
-		Seq:            seq,
+		Seq:            seq & MaxSeq,
 		BeaconInterval: 100,
 		Capability:     0x0401,
 		IEs: []IE{
@@ -290,7 +330,7 @@ func NewBeacon(ap MAC, ssid string, channel int, timestamp uint64, seq uint16) *
 		Addr1:          Broadcast,
 		Addr2:          ap,
 		Addr3:          ap,
-		Seq:            seq,
+		Seq:            seq & MaxSeq,
 		Timestamp:      timestamp,
 		BeaconInterval: 100,
 		Capability:     0x0401,

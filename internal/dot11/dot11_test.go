@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -319,6 +320,124 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		if _, err := Decode(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var (
+	benchBuf   []byte
+	benchFrame Frame
+)
+
+func BenchmarkAppendEncode(b *testing.B) {
+	f := NewBeacon(MAC{1, 2, 3, 4, 5, 6}, "UML-North-Campus", 6, 12345, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if benchBuf, err = f.AppendEncode(benchBuf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeInto(b *testing.B) {
+	raw, err := NewBeacon(MAC{1, 2, 3, 4, 5, 6}, "UML-North-Campus", 6, 12345, 7).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeInto(&benchFrame, raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The constructors take a running counter and wrap it into the 12-bit
+// sequence number, so the frame round-trips exactly.
+func TestConstructorsWrapSequenceNumber(t *testing.T) {
+	for _, f := range []*Frame{
+		NewProbeRequest(MAC{1}, "home", 4100),
+		NewProbeResponse(MAC{2}, MAC{1}, "home", 6, 4100),
+		NewBeacon(MAC{2}, "home", 6, 77, 4100),
+	} {
+		if f.Seq != 4 {
+			t.Fatalf("%v: seq %d, want 4100 mod 4096 = 4", f.Subtype, f.Seq)
+		}
+		raw, err := f.Encode()
+		if err != nil {
+			t.Fatalf("%v: %v", f.Subtype, err)
+		}
+		got, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("%v: %v", f.Subtype, err)
+		}
+		if !reflect.DeepEqual(got, f) {
+			t.Fatalf("%v: round trip\n got %+v\nwant %+v", f.Subtype, got, f)
+		}
+	}
+}
+
+// A hand-built frame whose sequence control fields overflow their wire
+// widths is refused, not truncated.
+func TestEncodeRejectsOutOfRangeSeqCtl(t *testing.T) {
+	for field, f := range map[string]*Frame{
+		"sequence number": {Type: TypeManagement, Seq: 5000},
+		"fragment number": {Type: TypeManagement, Frag: 16},
+	} {
+		if b, err := f.Encode(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s out of range: Encode = %x, %v; want an error naming the field", field, b, err)
+		}
+		if b, err := f.AppendEncode([]byte{9}); err == nil || b != nil {
+			t.Errorf("%s out of range: AppendEncode = %x, %v; want nil and an error", field, b, err)
+		}
+	}
+	for _, f := range []*Frame{
+		{Type: TypeManagement, Seq: MaxSeq, Frag: MaxFrag},
+		NewProbeRequest(MAC{1}, "x", 0),
+	} {
+		raw, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := f.EncodedLen(); n != len(raw) {
+			t.Errorf("EncodedLen %d, encoding %d bytes", n, len(raw))
+		}
+		// AppendEncode extends dst and checksums only the frame's bytes.
+		got, err := f.AppendEncode([]byte("prefix"))
+		if err != nil || string(got[:6]) != "prefix" || !bytes.Equal(got[6:], raw) {
+			t.Errorf("AppendEncode after a prefix = %x, %v; want prefix + %x", got, err, raw)
+		}
+	}
+}
+
+// DecodeInto reuses the caller's IE array and aliases the input bytes.
+func TestDecodeIntoReusesAndAliases(t *testing.T) {
+	raw, err := NewProbeResponse(MAC{2}, MAC{1}, "home", 6, 9).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ies := make([]IE, 0, 8)
+	f := &Frame{Subtype: SubtypeBeacon, Timestamp: 99, IEs: ies}
+	if err := DecodeInto(f, raw); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Decode(raw)
+	if !reflect.DeepEqual(f, want) {
+		t.Fatalf("DecodeInto\n got %+v\nwant %+v", f, want)
+	}
+	if &f.IEs[0] != &ies[:1][0] {
+		t.Error("DecodeInto did not append into the frame's IE array")
+	}
+	ssid := f.IEs[0].Data
+	if cap(ssid) != len(ssid) {
+		t.Errorf("IE data has spare capacity %d reaching the next element", cap(ssid)-len(ssid))
+	}
+	raw[mgmtHeaderLen+fixedFieldsLen+2] = 'H'
+	if s, _ := f.SSID(); s != "Home" {
+		t.Errorf("SSID %q after editing the input; DecodeInto must alias it", s)
+	}
+	if s, _ := want.SSID(); s != "home" {
+		t.Errorf("SSID %q after editing the input; Decode must copy", s)
 	}
 }
 

@@ -2,6 +2,8 @@ package dot11
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -68,6 +70,42 @@ func FuzzFrameParse(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("round trip changed bytes:\n in: %x\nout: %x", data, re)
+		}
+	})
+}
+
+// FuzzDecodeInto holds the aliasing parser to the copying one: on any
+// bytes, DecodeInto into a reused frame carrying stale fields and IEs
+// must fail with the same error as Decode or produce the same frame.
+func FuzzDecodeInto(f *testing.F) {
+	seed1, _ := NewBeacon(MAC{0xA0, 1, 2, 3, 4, 5}, "corp-net", 11, 100, 9).Encode()
+	seed2, _ := NewProbeRequest(MAC{0xDD, 0, 0, 0, 0, 1}, "", 3).Encode()
+	seed3, _ := (&Frame{Type: TypeManagement, Subtype: SubtypeAssocReq, Seq: MaxSeq, Frag: MaxFrag}).Encode()
+	f.Add(seed1)
+	f.Add(seed2)
+	f.Add(seed3)
+	f.Add(seed1[:30])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := Decode(data)
+		got := &Frame{Subtype: SubtypeProbeResp, Timestamp: 5, Seq: 1, IEs: []IE{{ID: 9, Data: []byte{1}}, {ID: 3}}}
+		err := DecodeInto(got, data)
+		if wantErr != nil || err != nil {
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("DecodeInto error %v, Decode error %v", err, wantErr)
+			}
+			return
+		}
+		if len(got.IEs) == 0 {
+			got.IEs = nil // a reused array stays non-nil; Decode starts from nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeInto\n got %+v\nDecode\n got %+v", got, want)
+		}
+		for i, ie := range got.IEs {
+			if cap(ie.Data) != len(ie.Data) {
+				t.Fatalf("IE %d data has spare capacity into the input", i)
+			}
 		}
 	})
 }

@@ -404,6 +404,41 @@ func TestBeaconTraffic(t *testing.T) {
 	}
 }
 
+// Running frame counters past 4095 wrap into the 12-bit sequence number,
+// so every generated frame encodes and round-trips exactly.
+func TestTrafficSequenceNumbersWrap(t *testing.T) {
+	w := testWorld(t, 1, 17)
+	evs := BeaconTraffic(w, 0, 4100, 1)
+	if len(evs) != 4100 {
+		t.Fatalf("got %d beacons, want 4100", len(evs))
+	}
+	near, err := NewAP(9, "near", geom.Pt(10, 0), 6, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.APs = []*AP{near}
+	evs = append(evs, AssociatedChatter(w, &Device{MAC: NewMAC(0xD0, 9)}, 5, geom.Pt(0, 0), 5000)...)
+	for i, ev := range evs {
+		if ev.Frame.Seq > dot11.MaxSeq {
+			t.Fatalf("event %d: sequence number %d exceeds 12 bits", i, ev.Frame.Seq)
+		}
+		raw, err := ev.Frame.Encode()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		got, err := dot11.Decode(raw)
+		if err != nil || got.Seq != ev.Frame.Seq {
+			t.Fatalf("event %d: decoded seq %v (err %v), want %d", i, got, err, ev.Frame.Seq)
+		}
+	}
+	if last := evs[len(evs)-2].Frame.Seq; last != 4099%4096 {
+		t.Errorf("beacon 4099 carries seq %d, want %d", last, 4099%4096)
+	}
+	if chat := evs[len(evs)-1].Frame.Seq; chat != 5000%4096 {
+		t.Errorf("chatter seq %d, want %d", chat, 5000%4096)
+	}
+}
+
 func TestWalkTrace(t *testing.T) {
 	w := testWorld(t, 50, 13)
 	dev := &Device{

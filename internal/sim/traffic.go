@@ -167,7 +167,7 @@ func AssociatedChatter(w *World, dev *Device, t float64, pos geom.Point, seq uin
 		Addr1:   best.MAC,
 		Addr2:   dev.MAC,
 		Addr3:   best.MAC,
-		Seq:     seq,
+		Seq:     seq & dot11.MaxSeq, // 12-bit sequence number wraps modulo 4096
 	}
 	return []TxEvent{{
 		TimeSec: t, Pos: pos, Channel: best.Channel, Frame: fr, TX: tx,

@@ -404,7 +404,7 @@ func ActiveAttack(w *sim.World, atTimeSec float64) []sim.TxEvent {
 			Addr1:   dev.MAC,
 			Addr2:   aps[0].MAC, // spoofed as the AP
 			Addr3:   aps[0].MAC,
-			Seq:     seq,
+			Seq:     seq & dot11.MaxSeq, // 12-bit sequence number wraps modulo 4096
 		}
 		tx := rf.TypicalAP
 		tx.FreqHz = aps[0].TX.FreqHz

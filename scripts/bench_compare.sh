@@ -1,6 +1,6 @@
 #!/bin/sh
-# bench-compare: the perf-regression watchdog. Diffs the current PR's
-# BENCH_<pr>.json against the previous PR's checked-in baseline with
+# bench-compare: the perf-regression watchdog. Diffs the current
+# BENCH_<n>.json against the previous checked-in baseline with
 # cmd/benchcompare and fails on gated regressions: latency p99 blowups
 # beyond the (noise-clamped) ratio, throughput collapse, a missing
 # self-profile section, or a missing /
@@ -10,12 +10,14 @@
 # doc comment for the exact semantics.
 #
 # Usage: sh scripts/bench_compare.sh [current] [previous]
-# Env overrides: CUR, PREV (same positions); REQUIRE_AGENTS=0 drops the
+# Env overrides: CUR, PREV (same positions; the defaults are the highest-
+# and next-highest-numbered BENCH_<n>.json, from scripts/bench_ids.sh);
+# REQUIRE_AGENTS=0 drops the
 # agents gate (for summaries predating the distributed capture plane).
 set -eu
 
-CUR="${1:-${CUR:-BENCH_10.json}}"
-PREV="${2:-${PREV:-BENCH_9.json}}"
+CUR="${1:-${CUR:-BENCH_$(sh "$(dirname "$0")/bench_ids.sh" cur).json}}"
+PREV="${2:-${PREV:-BENCH_$(sh "$(dirname "$0")/bench_ids.sh" prev).json}}"
 REQUIRE_AGENTS="${REQUIRE_AGENTS:-1}"
 
 if [ ! -f "$CUR" ]; then

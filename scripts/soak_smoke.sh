@@ -11,14 +11,15 @@
 # resumes, dedup, exactly-once bookkeeping) merges into the summary as
 # the top-level "agents" section via -merge-extra.
 #
-# Env overrides: OUT (summary file, default BENCH_10.json), PR (default
-# 10), SOAK_SECS (wall seconds per run, default 4), KEEP (when set, the
+# Env overrides: PR (default: the highest-numbered BENCH_<n>.json's n,
+# from scripts/bench_ids.sh), OUT (summary file, default BENCH_<PR>.json),
+# SOAK_SECS (wall seconds per run, default 4), KEEP (when set, the
 # flight records and self-profile artifacts land under this directory
 # and survive the run — CI uploads them).
 set -eu
 
-OUT="${OUT:-BENCH_10.json}"
-PR="${PR:-10}"
+PR="${PR:-$(sh "$(dirname "$0")/bench_ids.sh" cur)}"
+OUT="${OUT:-BENCH_$PR.json}"
 SOAK_SECS="${SOAK_SECS:-4}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT INT TERM
