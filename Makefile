@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-compare bench-pr bench-test
+.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-compare bench-pr bench-test bench-window
 
 all: check
 
@@ -28,6 +28,14 @@ bench:
 
 bench-engine:
 	$(GO) test -run xxx -bench BenchmarkEngineSnapshot .
+
+# Map-frame microbenchmarks: the Γ window query on a 10⁵-device store and
+# BenchmarkEngineSnapshot at 200 and 10⁴ devices. CI runs each once
+# (BENCHTIME=1x) so they keep building and running.
+BENCHTIME ?= 1s
+bench-window:
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendAPSetWindow$$' -benchtime $(BENCHTIME) -benchmem ./internal/obs
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSnapshot$$' -benchtime $(BENCHTIME) -benchmem .
 
 # Seed single-lock store vs the sharded+batched ingest path, with a
 # benchstat comparison when benchstat is available.

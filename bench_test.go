@@ -317,17 +317,16 @@ func BenchmarkExtensionFleetCoverage(b *testing.B) {
 	b.ReportMetric(lastFloat(b, t, 1, 1), "observed_2sites")
 }
 
-// engineBenchWorld builds a deterministic 200-device campus: a 12×12 AP
-// grid and one observation window in which every device has probed the
-// APs whose discs cover it. Returns the knowledge base and a pre-filled
-// store, shared read-only by every engine under benchmark.
-func engineBenchWorld(b *testing.B) (core.Knowledge, *obs.Store) {
+// engineBenchWorld builds a deterministic nDevs-device campus: a 12×12
+// AP grid and one observation window in which every device has probed
+// the APs whose discs cover it. Returns the knowledge base and a
+// pre-filled store, shared read-only by every engine under benchmark.
+func engineBenchWorld(b *testing.B, nDevs int) (core.Knowledge, *obs.Store) {
 	b.Helper()
 	const (
 		nSide   = 12
 		spacing = 70.0
 		apRange = 100.0
-		nDevs   = 200
 	)
 	aps := make([]core.APInfo, 0, nSide*nSide)
 	for i := 0; i < nSide*nSide; i++ {
@@ -360,8 +359,16 @@ func engineBenchWorld(b *testing.B) (core.Knowledge, *obs.Store) {
 // observed device in the window — across the engine's operating modes:
 // sequential vs a worker pool, and with the Γ cache cold-disabled vs warm.
 // Parallel and sequential frames are checked identical before timing.
+// The top-level cases draw a 200-device campus; devices=10000 is the
+// same campus at 10⁴ devices, where the per-device fan-out and window
+// assembly dominate a cached frame.
 func BenchmarkEngineSnapshot(b *testing.B) {
-	know, store := engineBenchWorld(b)
+	benchSnapshotModes(b, 200)
+	b.Run("devices=10000", func(b *testing.B) { benchSnapshotModes(b, 10_000) })
+}
+
+func benchSnapshotModes(b *testing.B, nDevs int) {
+	know, store := engineBenchWorld(b, nDevs)
 	newEngine := func(workers, cacheSize int) *engine.Engine {
 		eng, err := engine.New(engine.Config{
 			Know: know, Store: store, WindowSec: 60,
@@ -415,7 +422,7 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 // configuration. The two ns/op figures must stay within a few percent of
 // each other: recording is asynchronous, so a frame never waits on it.
 func BenchmarkEngineSnapshotFTDC(b *testing.B) {
-	know, store := engineBenchWorld(b)
+	know, store := engineBenchWorld(b, 200)
 	newEngine := func() *engine.Engine {
 		eng, err := engine.New(engine.Config{
 			Know: know, Store: store, WindowSec: 60, Workers: 1, CacheSize: -1,

@@ -10,6 +10,10 @@ import (
 // defaultCacheSize is the Γ-cache entry cap when Config.CacheSize is 0.
 const defaultCacheSize = 4096
 
+// keyBufMACs sizes the stack buffer a lookup builds its Γ key in. Window
+// Γs are far smaller; a larger Γ's key spills to the heap.
+const keyBufMACs = 32
+
 // gammaCache memoizes localization results by canonicalized Γ key.
 // Localization is a pure function of (knowledge, Γ); every entry belongs
 // to the cache's knowledge generation, and the engine moves the cache to
@@ -41,21 +45,22 @@ func newGammaCache(max int) *gammaCache {
 	return &gammaCache{max: max, entries: make(map[string]cacheEntry)}
 }
 
-// gammaKey canonicalizes Γ into a cache key. Γ is already deduplicated
-// and MAC-ascending (APSetWindow's documented order), so the byte
-// concatenation of its addresses is canonical.
-func gammaKey(gamma []dot11.MAC) string {
-	buf := make([]byte, 0, len(gamma)*6)
+// gammaKey appends Γ's cache key to dst and returns it. Γ is already
+// deduplicated and MAC-ascending (APSetWindow's documented order), so the
+// byte concatenation of its addresses is canonical. Callers pass a stack
+// buffer, so building the key allocates nothing.
+func gammaKey(dst []byte, gamma []dot11.MAC) []byte {
 	for _, m := range gamma {
-		buf = append(buf, m[:]...)
+		dst = append(dst, m[:]...)
 	}
-	return string(buf)
+	return dst
 }
 
-// get looks key up for a caller that read knowledge generation gen.
-func (c *gammaCache) get(key string, gen uint64) (core.Estimate, error, bool) {
+// get looks key up for a caller that read knowledge generation gen. The
+// map index converts key without allocating.
+func (c *gammaCache) get(key []byte, gen uint64) (core.Estimate, error, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[string(key)]
 	ok = ok && gen == c.gen
 	c.mu.Unlock()
 	return e.est, e.err, ok
@@ -65,7 +70,7 @@ func (c *gammaCache) get(key string, gen uint64) (core.Estimate, error, bool) {
 // returns how many entries a wholesale refill evicted (0 when the cap was
 // not reached). An entry from an older generation than the cache's is
 // dropped: its knowledge was swapped out while it was being computed.
-func (c *gammaCache) put(key string, gen uint64, est core.Estimate, err error) int {
+func (c *gammaCache) put(key []byte, gen uint64, est core.Estimate, err error) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen {
@@ -76,7 +81,7 @@ func (c *gammaCache) put(key string, gen uint64, est core.Estimate, err error) i
 		evicted = len(c.entries)
 		c.entries = make(map[string]cacheEntry)
 	}
-	c.entries[key] = cacheEntry{est: est, err: err}
+	c.entries[string(key)] = cacheEntry{est: est, err: err}
 	return evicted
 }
 

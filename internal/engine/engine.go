@@ -489,7 +489,8 @@ func (e *Engine) locateGamma(gamma []dot11.MAC, tr *trace.Trace) (est core.Estim
 		sp.Attr("cache_hit", false)
 		return est, know, gen, false, err
 	}
-	key := gammaKey(gamma)
+	var keyBuf [keyBufMACs * len(dot11.MAC{})]byte
+	key := gammaKey(keyBuf[:0], gamma)
 	if est, err, ok := e.cache.get(key, gen); ok {
 		e.hits.Add(1)
 		mCacheHits.Inc()
@@ -603,6 +604,11 @@ func (e *Engine) Snapshot(timeSec float64) map[dot11.MAC]core.Estimate {
 
 // SnapshotRange is Snapshot over an explicit observation range — e.g. the
 // whole capture history when replaying an attack offline.
+//
+// Workers claim device indices from one atomic counter and write each
+// result into that device's slot, so the fan-out needs no channel and no
+// lock; the map is built once every worker is done. The calling
+// goroutine is one of the workers, so a one-worker frame starts none.
 func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	began := time.Now()
 	defer func() {
@@ -613,51 +619,40 @@ func (e *Engine) SnapshotRange(start, end float64) map[dot11.MAC]core.Estimate {
 	scanStart := time.Now()
 	devs := store.Devices()
 	mStageScan.ObserveSince(scanStart)
-	out := make(map[dot11.MAC]core.Estimate, len(devs))
-	workers := e.workers
-	if workers > len(devs) {
-		workers = len(devs)
+	type slot struct {
+		est core.Estimate
+		ok  bool
 	}
-	if workers <= 1 {
+	slots := make([]slot, len(devs))
+	var next atomic.Int64
+	work := func() {
 		var buf []dot11.MAC
-		for _, dev := range devs {
-			var est core.Estimate
-			var err error
-			buf, est, err = e.fixWindow(buf[:0], dev, start, end)
-			if err == nil {
-				out[dev] = est
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(devs) {
+				return
 			}
+			var err error
+			buf, slots[i].est, err = e.fixWindow(buf[:0], devs[i], start, end)
+			slots[i].ok = err == nil
 		}
-		return out
 	}
-	var (
-		outMu sync.Mutex
-		wg    sync.WaitGroup
-		work  = make(chan dot11.MAC)
-	)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(e.workers, len(devs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []dot11.MAC
-			for dev := range work {
-				var est core.Estimate
-				var err error
-				buf, est, err = e.fixWindow(buf[:0], dev, start, end)
-				if err != nil {
-					continue
-				}
-				outMu.Lock()
-				out[dev] = est
-				outMu.Unlock()
-			}
+			work()
 		}()
 	}
-	for _, dev := range devs {
-		work <- dev
-	}
-	close(work)
+	work()
 	wg.Wait()
+	out := make(map[dot11.MAC]core.Estimate, len(devs))
+	for i, dev := range devs {
+		if slots[i].ok {
+			out[dev] = slots[i].est
+		}
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -116,17 +117,84 @@ func TestFixMatchesTracker(t *testing.T) {
 	}
 }
 
-func TestSnapshotParallelMatchesSequential(t *testing.T) {
-	k, store, _ := gridWorld(80, 50)
-	seq := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 1, CacheSize: -1})
-	par := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 8, CacheSize: -1})
-	a := seq.Snapshot(50)
-	b := par.Snapshot(50)
-	if len(a) == 0 {
-		t.Fatal("sequential snapshot located nothing")
+// referenceSnapshot is the per-frame oracle: every device of the store
+// fixed sequentially by referenceFix, failures omitted.
+func referenceSnapshot(k core.Knowledge, store *obs.Store, ts, windowSec float64) map[dot11.MAC]core.Estimate {
+	out := make(map[dot11.MAC]core.Estimate)
+	for _, dev := range store.Devices() {
+		if est, err := referenceFix(k, store, dev, ts, windowSec); err == nil {
+			out[dev] = est
+		}
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("parallel snapshot differs: %d vs %d devices", len(a), len(b))
+	return out
+}
+
+// sameFrame reports whether two map frames hold the same devices with
+// bit-identical estimates (positions and vertices compared as float bits,
+// so -0 and +0 or two NaN payloads would not pass as equal).
+func sameFrame(a, b map[dot11.MAC]core.Estimate) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := func(p geom.Point) [2]uint64 { return [2]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)} }
+	for dev, ea := range a {
+		eb, ok := b[dev]
+		if !ok || bits(ea.Pos) != bits(eb.Pos) || ea.K != eb.K || ea.Method != eb.Method ||
+			len(ea.Vertices) != len(eb.Vertices) {
+			return false
+		}
+		for i := range ea.Vertices {
+			if bits(ea.Vertices[i]) != bits(eb.Vertices[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSnapshotParallelMatchesSequential pins every fan-out shape — one
+// worker, two, and more workers than devices — with the Γ cache off,
+// cold and warm, to the sequential per-device APSetWindow + M-Loc
+// oracle, bit for bit. The store also holds devices whose fix fails (an
+// AP missing from the knowledge, a window with no records), which every
+// frame must omit.
+func TestSnapshotParallelMatchesSequential(t *testing.T) {
+	k, store, devs := gridWorld(80, 50)
+	store.Ingest(50, dot11.NewProbeResponse(mac(0xEE, 1), mac(0xDF, 1), "", 1, 1), true)
+	store.Ingest(500, dot11.NewProbeResponse(mac(0xA0, 0), mac(0xDF, 2), "", 1, 1), true)
+	want := referenceSnapshot(k, store, 50, 30)
+	if len(want) == 0 || len(want) >= len(store.Devices()) {
+		t.Fatalf("reference located %d of %d devices; the fixture needs both fixes and failures",
+			len(want), len(store.Devices()))
+	}
+	for _, workers := range []int{1, 2, len(devs) + 10} {
+		for _, cacheSize := range []int{-1, 0} {
+			e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: workers, CacheSize: cacheSize})
+			for pass := 0; pass < 2; pass++ {
+				if got := e.Snapshot(50); !sameFrame(got, want) {
+					t.Errorf("workers=%d cache=%d pass %d: frame (%d devices) differs from reference (%d)",
+						workers, cacheSize, pass, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestLocateGammaCacheHitAllocs guards the cached fix path: a Γ-cache hit
+// builds its key on the stack and looks it up without allocating.
+func TestLocateGammaCacheHitAllocs(t *testing.T) {
+	k, store, devs := gridWorld(60, 1)
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30})
+	gamma := store.APSetWindow(devs[0], 35, 65)
+	if _, _, _, hit, err := e.locateGamma(gamma, nil); err != nil || hit {
+		t.Fatalf("first lookup: hit=%v err=%v", hit, err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, hit, _ := e.locateGamma(gamma, nil); !hit {
+			t.Fatal("cache missed a repeated Γ")
+		}
+	}); n != 0 {
+		t.Errorf("Γ-cache hit made %v allocations, want 0", n)
 	}
 }
 
@@ -170,8 +238,16 @@ func TestTrackMatchesTrackerAndSkipsGaps(t *testing.T) {
 // snapshots and fixes run — the engine's core concurrency contract, meant
 // to run under -race.
 func TestConcurrentIngestWhileSnapshot(t *testing.T) {
+	for _, workers := range []int{4, 25} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			concurrentIngestWhileSnapshot(t, workers)
+		})
+	}
+}
+
+func concurrentIngestWhileSnapshot(t *testing.T, workers int) {
 	k, store, devs := gridWorld(60, 20)
-	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 4})
+	e := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: workers})
 
 	const (
 		writers         = 3
@@ -206,13 +282,12 @@ func TestConcurrentIngestWhileSnapshot(t *testing.T) {
 	}
 	wg.Wait()
 	// After the stream settles, the parallel cached snapshot must agree
-	// with a fresh sequential uncached engine over the same store.
-	ref := testEngine(t, Config{Know: k, Store: store, WindowSec: 30, Workers: 1, CacheSize: -1})
-	got, want := e.Snapshot(50), ref.Snapshot(50)
+	// with the sequential per-device reference over the same store.
+	got, want := e.Snapshot(50), referenceSnapshot(k, store, 50, 30)
 	if len(want) == 0 {
 		t.Fatal("reference snapshot located nothing")
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameFrame(got, want) {
 		t.Errorf("settled snapshot (%d devices) differs from sequential reference (%d)",
 			len(got), len(want))
 	}
@@ -402,16 +477,16 @@ func TestResetObservationsKeepsShardCount(t *testing.T) {
 func TestGammaCacheEviction(t *testing.T) {
 	c := newGammaCache(4)
 	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), 0, core.Estimate{K: i}, nil)
+		c.put(fmt.Appendf(nil, "k%d", i), 0, core.Estimate{K: i}, nil)
 	}
 	if c.len() != 4 {
 		t.Fatalf("len = %d", c.len())
 	}
-	c.put("overflow", 0, core.Estimate{}, nil)
+	c.put([]byte("overflow"), 0, core.Estimate{}, nil)
 	if c.len() != 1 {
 		t.Fatalf("eviction kept %d entries, want wholesale refill", c.len())
 	}
-	if _, _, ok := c.get("overflow", 0); !ok {
+	if _, _, ok := c.get([]byte("overflow"), 0); !ok {
 		t.Error("new entry missing after eviction")
 	}
 }
@@ -419,10 +494,10 @@ func TestGammaCacheEviction(t *testing.T) {
 func TestGammaKeyCanonical(t *testing.T) {
 	a := []dot11.MAC{mac(0, 1), mac(0, 2)}
 	b := []dot11.MAC{mac(0, 1), mac(0, 2)}
-	if gammaKey(a) != gammaKey(b) {
+	if !bytes.Equal(gammaKey(nil, a), gammaKey(nil, b)) {
 		t.Error("identical Γ produced different keys")
 	}
-	if gammaKey(a) == gammaKey(a[:1]) {
+	if bytes.Equal(gammaKey(nil, a), gammaKey(nil, a[:1])) {
 		t.Error("different Γ collided")
 	}
 }

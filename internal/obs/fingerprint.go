@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dot11"
@@ -96,7 +97,7 @@ func (s *Store) LinkPseudonyms(threshold float64) []PseudonymLink {
 		}
 		sh.mu.RUnlock()
 	}
-	sortMACs(macs)
+	slices.SortFunc(macs, compareMACs)
 
 	var links []PseudonymLink
 	for i := 0; i < len(macs); i++ {
@@ -112,16 +113,7 @@ func (s *Store) LinkPseudonyms(threshold float64) []PseudonymLink {
 		if links[i].Similarity != links[j].Similarity {
 			return links[i].Similarity > links[j].Similarity
 		}
-		return lessMAC(links[i].A, links[j].A)
+		return macKey(links[i].A) < macKey(links[j].A)
 	})
 	return links
-}
-
-func lessMAC(a, b dot11.MAC) bool {
-	for k := 0; k < 6; k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
 }

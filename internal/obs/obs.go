@@ -19,9 +19,11 @@
 package obs
 
 import (
+	"cmp"
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -381,7 +383,7 @@ func (s *Store) Devices() []dot11.MAC {
 		}
 		sh.mu.RUnlock()
 	}
-	sortMACs(out)
+	slices.SortFunc(out, compareMACs)
 	return out
 }
 
@@ -395,7 +397,7 @@ func (s *Store) ProbingDevices() []dot11.MAC {
 		}
 		sh.mu.RUnlock()
 	}
-	sortMACs(out)
+	slices.SortFunc(out, compareMACs)
 	return out
 }
 
@@ -415,7 +417,7 @@ func (s *Store) APs() []dot11.MAC {
 	for m := range set {
 		out = append(out, m)
 	}
-	sortMACs(out)
+	slices.SortFunc(out, compareMACs)
 	return out
 }
 
@@ -469,10 +471,8 @@ func (s *Store) AppendAPSetWindowTrace(dst []dot11.MAC, dev dot11.MAC, start, en
 // appendAPSetWindow answers the window query and reports how many records
 // the window matched (before AP deduplication) and whether it re-sorted
 // the device log.
-func (s *Store) appendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, scanned int, resorted bool) {
-	defer mWindowSeconds.ObserveSince(time.Now())
+func (s *Store) appendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end float64) (out []dot11.MAC, matched int, resorted bool) {
 	sh := s.shardFor(dev)
-	base := len(dst)
 	sh.mu.RLock()
 	dl := sh.byDev[dev]
 	if dl == nil {
@@ -480,41 +480,59 @@ func (s *Store) appendAPSetWindow(dst []dot11.MAC, dev dot11.MAC, start, end flo
 		return dst, 0, false
 	}
 	if dl.sorted {
-		dst = appendWindow(dst, dl.recs, start, end)
+		dst, matched = appendWindow(dst, dl.recs, start, end)
 		sh.mu.RUnlock()
-	} else {
-		sh.mu.RUnlock()
-		sh.mu.Lock()
-		if dl = sh.byDev[dev]; dl != nil {
-			sh.sortDeviceLogLocked(dev, dl)
-			dst = appendWindow(dst, dl.recs, start, end)
-			resorted = true
-		}
-		sh.mu.Unlock()
+		return dst, matched, false
 	}
-	scanned = len(dst) - base
-	gamma := dst[base:]
-	sortMACs(gamma)
-	// Compact duplicates in place.
-	uniq := 0
-	for i, m := range gamma {
-		if i == 0 || m != gamma[uniq-1] {
-			gamma[uniq] = m
-			uniq++
-		}
+	sh.mu.RUnlock()
+	sh.mu.Lock()
+	if dl = sh.byDev[dev]; dl != nil {
+		sh.sortDeviceLogLocked(dev, dl)
+		dst, matched = appendWindow(dst, dl.recs, start, end)
+		resorted = true
 	}
-	return dst[:base+uniq], scanned, resorted
+	sh.mu.Unlock()
+	return dst, matched, resorted
 }
 
-// appendWindow appends the APs of the records with start ≤ t < end from a
-// canonically ordered log. NaN-timestamped records sort to the front and
-// match no window (NaN ≥ start is false for every start).
-func appendWindow(dst []dot11.MAC, recs []Record, start, end float64) []dot11.MAC {
+// appendWindow appends the window's Γ — the distinct APs of the records
+// with start ≤ t < end in a canonically ordered log, ascending by MAC —
+// to dst, and returns it with the number of records the window matched
+// before deduplication. Each AP is inserted into the sorted, duplicate-
+// free tail as it is scanned, so no sort or compaction pass follows.
+// NaN-timestamped records sort to the front and match no window
+// (NaN ≥ start is false for every start); a NaN end matches nothing
+// (t < NaN is false for every t).
+func appendWindow(dst []dot11.MAC, recs []Record, start, end float64) ([]dot11.MAC, int) {
 	lo := sort.Search(len(recs), func(i int) bool { return recs[i].TimeSec >= start })
-	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return recs[lo+i].TimeSec >= end })
+	hi := lo + sort.Search(len(recs)-lo, func(i int) bool { return !(recs[lo+i].TimeSec < end) })
+	base := len(dst)
 	for _, r := range recs[lo:hi] {
-		dst = append(dst, r.AP)
+		dst = insertAP(dst, base, r.AP)
 	}
+	return dst, hi - lo
+}
+
+// insertAP adds ap to the set dst[base:], which it keeps in ascending
+// macKey order without duplicates: a binary search finds the slot and a
+// copy shifts the tail up by one. An AP already in the set is a no-op.
+func insertAP(dst []dot11.MAC, base int, ap dot11.MAC) []dot11.MAC {
+	k := macKey(ap)
+	lo, hi := base, len(dst)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if macKey(dst[h]) < k {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(dst) && dst[lo] == ap {
+		return dst
+	}
+	dst = append(dst, dot11.MAC{})
+	copy(dst[lo+1:], dst[lo:])
+	dst[lo] = ap
 	return dst
 }
 
@@ -540,15 +558,10 @@ func (s *Store) DeviceAPSets() map[dot11.MAC][]dot11.MAC {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for dev, dl := range sh.byDev {
-			set := make(map[dot11.MAC]bool, len(dl.recs))
+			var l []dot11.MAC
 			for _, r := range dl.recs {
-				set[r.AP] = true
+				l = insertAP(l, 0, r.AP)
 			}
-			l := make([]dot11.MAC, 0, len(set))
-			for m := range set {
-				l = append(l, m)
-			}
-			sortMACs(l)
 			out[dev] = l
 		}
 		sh.mu.RUnlock()
@@ -622,52 +635,12 @@ func absf(x float64) float64 {
 	return x
 }
 
-// sortMACs sorts in place without allocating: sort.Slice's interface
-// boxing and reflect swapper cost three heap allocations per call, which
-// is the difference between a zero-alloc and a three-alloc window query
-// on the fix hot path. Window Γs are small, so insertion sort
-// covers the common case; larger slices take an in-place heapsort.
-func sortMACs(ms []dot11.MAC) {
-	if len(ms) <= 32 {
-		for i := 1; i < len(ms); i++ {
-			for j := i; j > 0 && macLess(ms[j], ms[j-1]); j-- {
-				ms[j], ms[j-1] = ms[j-1], ms[j]
-			}
-		}
-		return
-	}
-	// Heapsort: build a max-heap, then repeatedly swap the root out.
-	for i := len(ms)/2 - 1; i >= 0; i-- {
-		siftDownMACs(ms, i, len(ms))
-	}
-	for end := len(ms) - 1; end > 0; end-- {
-		ms[0], ms[end] = ms[end], ms[0]
-		siftDownMACs(ms, 0, end)
-	}
+// macKey packs a MAC into an integer whose order is the address's byte
+// order, so one comparison orders two MACs.
+func macKey(m dot11.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
-func siftDownMACs(ms []dot11.MAC, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && macLess(ms[child], ms[child+1]) {
-			child++
-		}
-		if !macLess(ms[root], ms[child]) {
-			return
-		}
-		ms[root], ms[child] = ms[child], ms[root]
-		root = child
-	}
-}
-
-func macLess(a, b dot11.MAC) bool {
-	for k := 0; k < 6; k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
+// compareMACs orders MACs ascending by address, for slices.SortFunc.
+func compareMACs(a, b dot11.MAC) int { return cmp.Compare(macKey(a), macKey(b)) }

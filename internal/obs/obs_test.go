@@ -199,6 +199,10 @@ func TestAppendAPSetWindowReuseAndOrder(t *testing.T) {
 	if &got[0] != &buf[:1][0] {
 		t.Error("AppendAPSetWindow reallocated despite sufficient capacity")
 	}
+	// The fix hot path: with a grown buffer a query allocates nothing.
+	if n := testing.AllocsPerRun(100, func() { got = s.AppendAPSetWindow(got[:0], dev, 0, 100) }); n != 0 {
+		t.Errorf("AppendAPSetWindow with a grown buffer made %v allocations, want 0", n)
+	}
 	// Appending preserves a non-empty prefix.
 	pre := []dot11.MAC{mac(0xFF)}
 	got = s.AppendAPSetWindow(pre, dev, 11.5, 12.5)

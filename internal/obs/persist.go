@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/dot11"
@@ -36,10 +37,10 @@ func lessRecord(a, b Record) bool {
 		return timeLess(a.TimeSec, b.TimeSec)
 	}
 	if a.Device != b.Device {
-		return lessMAC(a.Device, b.Device)
+		return macKey(a.Device) < macKey(b.Device)
 	}
 	if a.AP != b.AP {
-		return lessMAC(a.AP, b.AP)
+		return macKey(a.AP) < macKey(b.AP)
 	}
 	return a.Kind < b.Kind
 }
@@ -76,29 +77,18 @@ func (s *Store) Save(w io.Writer) error {
 	}
 
 	sort.SliceStable(snap.Records, func(i, j int) bool { return lessRecord(snap.Records[i], snap.Records[j]) })
-	sort.Slice(snap.Seen, func(i, j int) bool { return lessMAC(snap.Seen[i].MAC, snap.Seen[j].MAC) })
-	sortMACs(snap.Probing)
-	// APs can be registered in several shards; dedup before sorting.
-	snap.APs = dedupMACs(snap.APs)
-	sort.Slice(snap.SSIDs, func(i, j int) bool { return lessMAC(snap.SSIDs[i].MAC, snap.SSIDs[j].MAC) })
+	sort.Slice(snap.Seen, func(i, j int) bool { return macKey(snap.Seen[i].MAC) < macKey(snap.Seen[j].MAC) })
+	slices.SortFunc(snap.Probing, compareMACs)
+	// APs can be registered in several shards; sort, then dedup.
+	slices.SortFunc(snap.APs, compareMACs)
+	snap.APs = slices.Compact(snap.APs)
+	sort.Slice(snap.SSIDs, func(i, j int) bool { return macKey(snap.SSIDs[i].MAC) < macKey(snap.SSIDs[j].MAC) })
 
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(snap); err != nil {
 		return fmt.Errorf("obs: save: %w", err)
 	}
 	return nil
-}
-
-func dedupMACs(ms []dot11.MAC) []dot11.MAC {
-	sortMACs(ms)
-	uniq := 0
-	for i, m := range ms {
-		if i == 0 || m != ms[uniq-1] {
-			ms[uniq] = m
-			uniq++
-		}
-	}
-	return ms[:uniq]
 }
 
 // Load deserializes a store previously written by Save, using the default

@@ -62,7 +62,7 @@ for series in \
     marauder_engine_frames_ingested_total \
     marauder_engine_workers \
     marauder_obs_records_total \
-    marauder_obs_window_query_seconds_bucket \
+    'marauder_stage_seconds_bucket{stage="window_assembly"' \
     marauder_sniffer_frames_captured_total \
     marauder_map_frames_published_total \
     marauder_http_requests_total; do
