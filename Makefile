@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-compare bench-pr bench-test bench-window
+.PHONY: all build vet test race bench fmt check metrics-smoke trace-smoke chaos-smoke agent-smoke soak-smoke profile-smoke fuzz-smoke bench-ingest bench-store bench-compare bench-pr bench-test bench-window bench-aprad
 
 all: check
 
@@ -36,6 +36,12 @@ BENCHTIME ?= 1s
 bench-window:
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendAPSetWindow$$' -benchtime $(BENCHTIME) -benchmem ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineSnapshot$$' -benchtime $(BENCHTIME) -benchmem .
+
+# AP-Rad training time as the AP count grows: EstimateRadii with the
+# production configuration on a stratified campus at 300 and 800 APs.
+# CI runs it once (BENCHTIME=1x) so it keeps building and running.
+bench-aprad:
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimateRadii$$' -benchtime $(BENCHTIME) -benchmem ./internal/core
 
 # Seed single-lock store vs the sharded+batched ingest path, with a
 # benchstat comparison when benchstat is available.

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"repro/internal/apdb"
 	"repro/internal/dot11"
 	"repro/internal/geom"
 	"repro/internal/lp"
@@ -14,11 +15,12 @@ import (
 // APRadConfig tunes the AP-Rad radius estimation.
 type APRadConfig struct {
 	// MaxRadius bounds every estimated radius (the theoretical upper bound
-	// on AP transmission distance). Required: without it the LP that
-	// maximizes Σ rᵢ is unbounded.
+	// on AP transmission distance). Required, finite and positive: without
+	// it the LP that maximizes Σ rᵢ is unbounded.
 	MaxRadius float64
 	// Margin is the slack ε used to encode the strict constraint
-	// rᵢ + rⱼ < dᵢⱼ as rᵢ + rⱼ ≤ dᵢⱼ − ε. Defaults to 1 metre.
+	// rᵢ + rⱼ < dᵢⱼ as rᵢ + rⱼ ≤ dᵢⱼ − ε. Must be finite; ≤ 0 selects the
+	// default of 1 metre.
 	Margin float64
 	// KeepLowerBounds retains the rᵢ + rⱼ ≥ dᵢⱼ constraints inside the LP.
 	// They never bind when maximizing Σ rᵢ, so by default they are dropped
@@ -27,13 +29,18 @@ type APRadConfig struct {
 	KeepLowerBounds bool
 	// MaxNeighborConstraints caps, per AP, how many "never co-observed"
 	// constraints are kept (the nearest neighbours, whose constraints are
-	// tightest). 0 keeps all of them — exact but quadratic in the AP count.
+	// tightest): a row rᵢ + rⱼ ≤ b is kept iff it is among the first
+	// MaxNeighborConstraints rows of APᵢ or of APⱼ in the order (b, i, j).
+	// 0 keeps all of them — exact but quadratic in the AP count.
 	MaxNeighborConstraints int
 }
 
 func (c APRadConfig) withDefaults() (APRadConfig, error) {
-	if c.MaxRadius <= 0 {
-		return c, fmt.Errorf("core: AP-Rad needs MaxRadius > 0, got %v", c.MaxRadius)
+	if !(c.MaxRadius > 0) || math.IsInf(c.MaxRadius, 1) {
+		return c, fmt.Errorf("core: AP-Rad needs a finite MaxRadius > 0, got %v", c.MaxRadius)
+	}
+	if math.IsNaN(c.Margin) || math.IsInf(c.Margin, 0) {
+		return c, fmt.Errorf("core: AP-Rad needs a finite Margin, got %v", c.Margin)
 	}
 	if c.Margin <= 0 {
 		c.Margin = 1
@@ -43,7 +50,8 @@ func (c APRadConfig) withDefaults() (APRadConfig, error) {
 
 // APRadDiagnostics reports how the radius estimation went.
 type APRadDiagnostics struct {
-	// Constraints is the number of pairwise constraints in the program.
+	// Constraints is the number of rows the LP solved: pair rows left
+	// after presolve, the kept lower bounds, and one box row per AP.
 	Constraints int
 	// LPIterations is the simplex pivot count the solve took (phase 1 and
 	// phase 2 combined) — the cost side of the training provenance.
@@ -69,7 +77,8 @@ type APRadDiagnostics struct {
 // base with MaxRange filled in.
 //
 // Constraints that cannot bind are pruned: a "never co-observed" pair with
-// dᵢⱼ ≥ 2·MaxRadius is implied by the box bounds.
+// dᵢⱼ ≥ 2·MaxRadius is implied by the box bounds, and presolve drops the
+// pair rows the other kept rows imply.
 func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 	cfg APRadConfig) (Knowledge, APRadDiagnostics, error) {
 	var diag APRadDiagnostics
@@ -77,111 +86,13 @@ func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 	if err != nil {
 		return Knowledge{}, diag, err
 	}
-	// Stable AP ordering: the snapshot's BSSID-ascending slot order.
+	// Variables are the snapshot's slots, in BSSID-ascending order.
 	sn := k.Snapshot()
-	aps := k.MACs()
-	idx := make(map[dot11.MAC]int, len(aps))
-	for i, m := range aps {
-		idx[m] = i
-	}
-	n := len(aps)
+	n := sn.Len()
 	if n == 0 {
 		return Knowledge{}, diag, ErrNoAPs
 	}
-
-	// Co-observation matrix from the device sets.
-	co := make(map[[2]int]bool)
-	for _, gamma := range deviceSets {
-		ids := make([]int, 0, len(gamma))
-		for _, m := range gamma {
-			if i, ok := idx[m]; ok {
-				ids = append(ids, i)
-			}
-		}
-		for a := 0; a < len(ids); a++ {
-			for b := a + 1; b < len(ids); b++ {
-				i, j := ids[a], ids[b]
-				if i > j {
-					i, j = j, i
-				}
-				co[[2]int{i, j}] = true
-			}
-		}
-	}
-
-	prob := lp.Problem{Objective: make([]float64, n)}
-	for i := range prob.Objective {
-		prob.Objective[i] = 1
-	}
-	addPair := func(i, j int, rel lp.Relation, b float64) {
-		c := lp.Constraint{Coeffs: make([]float64, n), Rel: rel, B: b}
-		c.Coeffs[i], c.Coeffs[j] = 1, 1
-		prob.Constraints = append(prob.Constraints, c)
-	}
-	type lower struct {
-		i, j int
-		d    float64
-	}
-	type upper struct {
-		i, j int
-		b    float64
-	}
-	var lowers []lower
-	var uppers []upper
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := sn.PosAt(i).Dist(sn.PosAt(j))
-			if math.IsNaN(d) || math.IsInf(d, 0) {
-				// An AP at a non-finite position says nothing about its
-				// neighbours: no constraint and no repair floor, so it
-				// cannot poison their radii.
-				continue
-			}
-			if co[[2]int{i, j}] {
-				lowers = append(lowers, lower{i, j, d})
-				if cfg.KeepLowerBounds {
-					addPair(i, j, lp.GE, d)
-				}
-				continue
-			}
-			b := d - cfg.Margin
-			if b <= 0 {
-				// APs (estimated) essentially co-located yet never
-				// co-observed: the constraint would be infeasible over
-				// r ≥ 0; treat the pair as unreliable and skip it.
-				continue
-			}
-			if b < 2*cfg.MaxRadius {
-				// Binding-capable "never co-observed" constraint.
-				uppers = append(uppers, upper{i, j, b})
-			}
-		}
-	}
-	if maxPer := cfg.MaxNeighborConstraints; maxPer > 0 {
-		// Keep, per AP, only the tightest (nearest-neighbour) upper
-		// constraints; looser ones almost never bind at the optimum.
-		sort.Slice(uppers, func(a, b int) bool { return uppers[a].b < uppers[b].b })
-		perAP := make([]int, n)
-		kept := uppers[:0]
-		for _, u := range uppers {
-			if perAP[u.i] >= maxPer && perAP[u.j] >= maxPer {
-				continue
-			}
-			perAP[u.i]++
-			perAP[u.j]++
-			kept = append(kept, u)
-		}
-		uppers = kept
-	}
-	for _, u := range uppers {
-		addPair(u.i, u.j, lp.LE, u.b)
-	}
-	// Box bounds r_i <= MaxRadius.
-	for i := 0; i < n; i++ {
-		c := lp.Constraint{Coeffs: make([]float64, n), Rel: lp.LE, B: cfg.MaxRadius}
-		c.Coeffs[i] = 1
-		prob.Constraints = append(prob.Constraints, c)
-	}
+	prob, lowers := radiusProgram(sn, deviceSets, cfg)
 	diag.Constraints = len(prob.Constraints)
 
 	x, obj, lpStats, err := lp.SolveStats(prob)
@@ -200,23 +111,230 @@ func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 	// region (Theorem 3's collapse), so overestimating here is the right
 	// failure mode.
 	for _, lb := range lowers {
-		half := math.Min(lb.d/2, cfg.MaxRadius)
+		half := math.Min(lb.b/2, cfg.MaxRadius)
 		x[lb.i] = math.Max(x[lb.i], half)
 		x[lb.j] = math.Max(x[lb.j], half)
 	}
 	for _, lb := range lowers {
-		if x[lb.i]+x[lb.j] < lb.d-1e-6 {
+		if x[lb.i]+x[lb.j] < lb.b-1e-6 {
 			diag.LowerBoundViolations++
 		}
 	}
 
 	out := make([]APInfo, n)
-	for i := range aps {
+	for i := range out {
 		in := sn.EntryAt(i)
 		in.MaxRange = x[i]
 		out[i] = in
 	}
 	return NewKnowledge(out), diag, nil
+}
+
+// radiusProgram assembles the radius LP over the snapshot's slots:
+// maximize Σ rᵢ subject to the co-observed lower bounds when kept, the
+// pair rows radiusRows keeps and presolve leaves, then the box bounds
+// rᵢ ≤ MaxRadius, as sparse rows over one slab of variable indices. It
+// returns the co-observed pairs alongside, for the repair pass.
+func radiusProgram(sn *apdb.Snapshot, deviceSets map[dot11.MAC][]dot11.MAC,
+	cfg APRadConfig) (lp.Problem, []pairRow) {
+	n := sn.Len()
+	lowers, uppers := radiusRows(sn, deviceSets, cfg)
+	uppers = presolve(uppers, n, cfg.MaxRadius)
+	rows := len(uppers) + n
+	if cfg.KeepLowerBounds {
+		rows += len(lowers)
+	}
+	prob := lp.Problem{Objective: make([]float64, n), Constraints: make([]lp.Constraint, 0, rows)}
+	for i := range prob.Objective {
+		prob.Objective[i] = 1
+	}
+	vars := make([]int, 0, 2*rows)
+	ones := []float64{1, 1}
+	add := func(rel lp.Relation, b float64, v ...int) {
+		at := len(vars)
+		vars = append(vars, v...)
+		prob.Constraints = append(prob.Constraints,
+			lp.Constraint{Coeffs: ones[:len(v)], Vars: vars[at:len(vars):len(vars)], Rel: rel, B: b})
+	}
+	if cfg.KeepLowerBounds {
+		for _, r := range lowers {
+			add(lp.GE, r.b, r.i, r.j)
+		}
+	}
+	for _, r := range uppers {
+		add(lp.LE, r.b, r.i, r.j)
+	}
+	for i := 0; i < n; i++ {
+		add(lp.LE, cfg.MaxRadius, i)
+	}
+	return prob, lowers
+}
+
+// pairRow is one pairwise row rᵢ + rⱼ against b of the radius program,
+// between AP slots i < j.
+type pairRow struct {
+	i, j int
+	b    float64
+}
+
+// comparePairRows is the total order (b, i, j) the neighbour cap selects
+// by and the kept rows are listed in.
+func comparePairRows(x, y pairRow) int {
+	switch {
+	case x.b < y.b:
+		return -1
+	case x.b > y.b:
+		return 1
+	case x.i != y.i:
+		return x.i - y.i
+	}
+	return x.j - y.j
+}
+
+// radiusRows gathers the pairwise rows of the radius program over the
+// snapshot's slots. lowers are the co-observed pairs at a finite distance
+// (b = dᵢⱼ), in pair order. uppers are the kept never-co-observed rows
+// (b = dᵢⱼ − ε) that can bind (0 < b < 2·MaxRadius): all of them in pair
+// order, or under a cap of k per AP, in (b, i, j) order, those among the
+// first k rows of either of their APs. That is the set the greedy cap
+// keeps walking every row in (b, i, j) order: an AP still below its cap
+// has kept every earlier row of its own.
+func radiusRows(sn *apdb.Snapshot, deviceSets map[dot11.MAC][]dot11.MAC,
+	cfg APRadConfig) (lowers, uppers []pairRow) {
+	n := sn.Len()
+	pos := make([]geom.Point, n)
+	for i := range pos {
+		pos[i] = sn.PosAt(i)
+	}
+	co := coObserved(sn, deviceSets)
+	var top firstRows
+	if cfg.MaxNeighborConstraints > 0 {
+		top = firstRows{k: cfg.MaxNeighborConstraints,
+			rows: make([]pairRow, n*cfg.MaxNeighborConstraints), size: make([]int, n)}
+	}
+	// A never-co-observed pair at a squared distance of reach2 or more
+	// has b ≥ 2·MaxRadius with a relative 1e-9 to spare for rounding, so
+	// it is dropped before the square root.
+	reach2 := (2*cfg.MaxRadius + cfg.Margin) * (2*cfg.MaxRadius + cfg.Margin) * (1 + 1e-9)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			bit := i*n + j
+			coObs := co[bit/64]&(1<<(bit%64)) != 0
+			if !coObs && pos[i].Dist2(pos[j]) >= reach2 {
+				continue
+			}
+			d := pos[i].Dist(pos[j])
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				// An AP at a non-finite position says nothing about its
+				// neighbours: no constraint and no repair floor, so it
+				// cannot poison their radii.
+				continue
+			}
+			if coObs {
+				lowers = append(lowers, pairRow{i, j, d})
+				continue
+			}
+			// b ≤ 0: APs (estimated) essentially co-located yet never
+			// co-observed; the row would be infeasible over r ≥ 0, so the
+			// pair is treated as unreliable. b ≥ 2·MaxRadius: implied by
+			// the box bounds.
+			b := d - cfg.Margin
+			if b <= 0 || b >= 2*cfg.MaxRadius {
+				continue
+			}
+			if top.k == 0 {
+				uppers = append(uppers, pairRow{i, j, b})
+				continue
+			}
+			top.offer(i, pairRow{i, j, b})
+			top.offer(j, pairRow{i, j, b})
+		}
+	}
+	if top.k == 0 {
+		return lowers, uppers
+	}
+	// Gather every AP's first rows into the front of the slab (a write
+	// never passes the read), then list each kept row once in order.
+	uppers = top.rows[:0]
+	for a, s := range top.size {
+		uppers = append(uppers, top.rows[a*top.k:a*top.k+s]...)
+	}
+	slices.SortFunc(uppers, comparePairRows)
+	return lowers, slices.Compact(uppers)
+}
+
+// coObserved is the co-observation matrix of the device sets over the
+// snapshot's slots, as an n×n bitset: bit i·n+j is set for slots i < j
+// some device heard together.
+func coObserved(sn *apdb.Snapshot, deviceSets map[dot11.MAC][]dot11.MAC) []uint64 {
+	n := sn.Len()
+	co := make([]uint64, (n*n+63)/64)
+	var ids []int
+	for _, gamma := range deviceSets {
+		ids = ids[:0]
+		for _, m := range gamma {
+			if i, ok := sn.Slot(m); ok {
+				ids = append(ids, i)
+			}
+		}
+		for a, i := range ids {
+			for _, j := range ids[a+1:] {
+				bit := min(i, j)*n + max(i, j)
+				co[bit/64] |= 1 << (bit % 64)
+			}
+		}
+	}
+	return co
+}
+
+// firstRows keeps, per AP, its first k rows under (b, i, j), sorted: AP
+// a's are rows[a·k : a·k+size[a]].
+type firstRows struct {
+	k    int
+	rows []pairRow
+	size []int
+}
+
+// offer hands AP a one of its rows.
+func (t *firstRows) offer(a int, r pairRow) {
+	h := t.rows[a*t.k : (a+1)*t.k]
+	s := t.size[a]
+	if s == t.k {
+		if comparePairRows(r, h[s-1]) > 0 {
+			return
+		}
+		s-- // r displaces the last
+	} else {
+		t.size[a]++
+	}
+	for ; s > 0 && comparePairRows(r, h[s-1]) < 0; s-- {
+		h[s] = h[s-1]
+	}
+	h[s] = r
+}
+
+// presolve drops the pair rows the others imply. Every rⱼ ≥ 0, so each
+// radius obeys rᵢ ≤ uᵢ = min(MaxRadius, b over i's rows), and a row with
+// uᵢ + uⱼ < b can never bind. The drop is exact: a row attaining some
+// uᵢ has b ≤ uᵢ + uⱼ and stays, so every bound the argument uses
+// survives it, and the feasible region — hence the optimum — is
+// unchanged.
+func presolve(rows []pairRow, n int, maxRadius float64) []pairRow {
+	u := make([]float64, n)
+	for i := range u {
+		u[i] = maxRadius
+	}
+	for _, r := range rows {
+		u[r.i] = min(u[r.i], r.b)
+		u[r.j] = min(u[r.j], r.b)
+	}
+	kept := rows[:0]
+	for _, r := range rows {
+		if !(u[r.i]+u[r.j] < r.b) {
+			kept = append(kept, r)
+		}
+	}
+	return kept
 }
 
 // MLocInflated runs M-Loc, and on an empty intersection region retries

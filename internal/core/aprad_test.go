@@ -2,11 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dot11"
 	"repro/internal/geom"
+	"repro/internal/lp"
 )
 
 // lineWorld: three APs on a line; device sets establish co-observations.
@@ -105,6 +110,26 @@ func TestEstimateRadiiValidation(t *testing.T) {
 	}
 	if _, _, err := EstimateRadii(Knowledge{}, sets, APRadConfig{MaxRadius: 100}); !errors.Is(err, ErrNoAPs) {
 		t.Errorf("empty knowledge: %v", err)
+	}
+	// A non-finite Margin would silently drop every never-co-observed
+	// row, and a non-finite MaxRadius would fail only inside the solver:
+	// both are config errors.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cfg  APRadConfig
+		want string
+	}{
+		{APRadConfig{MaxRadius: 150, Margin: nan}, "finite Margin"},
+		{APRadConfig{MaxRadius: 150, Margin: inf}, "finite Margin"},
+		{APRadConfig{MaxRadius: 150, Margin: -inf}, "finite Margin"},
+		{APRadConfig{MaxRadius: nan}, "finite MaxRadius"},
+		{APRadConfig{MaxRadius: inf}, "finite MaxRadius"},
+		{APRadConfig{MaxRadius: -inf}, "finite MaxRadius"},
+	} {
+		_, _, err := EstimateRadii(k, sets, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "lp") {
+			t.Errorf("%+v: err = %v, want a config error naming %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 
@@ -223,4 +248,353 @@ func knownRange(t *testing.T, k Knowledge, m dot11.MAC) float64 {
 		t.Fatalf("AP %v missing from knowledge", m)
 	}
 	return in.MaxRange
+}
+
+// apMAC and devMAC number the APs and devices of a generated campus.
+func apMAC(i int) dot11.MAC  { return dot11.MAC{0, 0, 0, 0xA0, byte(i >> 8), byte(i)} }
+func devMAC(i int) dot11.MAC { return dot11.MAC{0, 0, 0, 0xD0, byte(i >> 8), byte(i)} }
+
+// campusHalf is half the side of a square campus holding n APs at the
+// production density, 300 APs on 700 m × 700 m.
+func campusHalf(n int) float64 { return 350 * math.Sqrt(float64(n)/300) }
+
+// uniformPoints draws n points uniformly over [−half, half]².
+func uniformPoints(rng *rand.Rand, n int, half float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt((rng.Float64()*2-1)*half, (rng.Float64()*2-1)*half)
+	}
+	return pts
+}
+
+// stratifiedPoints draws n points over [−half, half]², one uniform point
+// per cell of a near-square grid, cells picked at random: uniform, with
+// the same density everywhere.
+func stratifiedPoints(rng *rand.Rand, n int, half float64) []geom.Point {
+	cols := int(math.Ceil(math.Sqrt(float64(n))))
+	rows := (n + cols - 1) / cols
+	cw, ch := 2*half/float64(cols), 2*half/float64(rows)
+	pts := make([]geom.Point, n)
+	for i, c := range rng.Perm(rows * cols)[:n] {
+		pts[i] = geom.Pt(-half+(float64(c%cols)+rng.Float64())*cw, -half+(float64(c/cols)+rng.Float64())*ch)
+	}
+	return pts
+}
+
+// gridPoints lays n APs on a square lattice of the given spacing centred
+// on the origin, so many AP pairs lie at exactly equal distances.
+func gridPoints(n int, spacing float64) []geom.Point {
+	cols := int(math.Ceil(math.Sqrt(float64(n))))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(float64(2*(i%cols)-cols)*spacing/2, float64(2*(i/cols)-cols)*spacing/2)
+	}
+	return pts
+}
+
+// trueRanges draws n true AP ranges uniform in [70, 130] m.
+func trueRanges(rng *rand.Rand, n int) []float64 {
+	ranges := make([]float64, n)
+	for i := range ranges {
+		ranges[i] = 70 + 60*rng.Float64()
+	}
+	return ranges
+}
+
+// campusWorld puts AP i at aps[i] with true range ranges[i] and a static
+// device at each of devices, which hears every AP whose range covers it.
+// The knowledge carries positions only.
+func campusWorld(aps []geom.Point, ranges []float64, devices []geom.Point) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+	infos := make([]APInfo, len(aps))
+	for i, p := range aps {
+		infos[i] = APInfo{BSSID: apMAC(i), Pos: p}
+	}
+	sets := make(map[dot11.MAC][]dot11.MAC, len(devices))
+	for d, p := range devices {
+		var gamma []dot11.MAC
+		for i, q := range aps {
+			if q.Dist(p) <= ranges[i] {
+				gamma = append(gamma, apMAC(i))
+			}
+		}
+		sets[devMAC(d)] = gamma
+	}
+	return infos, sets
+}
+
+// referenceProgram is the radius program assembled straight from its
+// definition: a co-observation map, dense rows, every binding-capable
+// never-co-observed pair sorted on (b, i, j) and kept greedily while one
+// of its APs is below the cap, and no presolve. uppers lists the kept
+// pair rows in program order.
+func referenceProgram(k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig) (prob lp.Problem, lowers, uppers []pairRow) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		panic(err)
+	}
+	sn := k.Snapshot()
+	n := sn.Len()
+	co := make(map[[2]int]bool)
+	for _, gamma := range sets {
+		for _, a := range gamma {
+			for _, b := range gamma {
+				i, okA := sn.Slot(a)
+				j, okB := sn.Slot(b)
+				if okA && okB && i < j {
+					co[[2]int{i, j}] = true
+				}
+			}
+		}
+	}
+	prob.Objective = make([]float64, n)
+	for i := range prob.Objective {
+		prob.Objective[i] = 1
+	}
+	row := func(rel lp.Relation, b float64, vars ...int) {
+		c := lp.Constraint{Coeffs: make([]float64, n), Rel: rel, B: b}
+		for _, v := range vars {
+			c.Coeffs[v] = 1
+		}
+		prob.Constraints = append(prob.Constraints, c)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := sn.PosAt(i).Dist(sn.PosAt(j))
+			switch {
+			case math.IsNaN(d) || math.IsInf(d, 0):
+			case co[[2]int{i, j}]:
+				lowers = append(lowers, pairRow{i, j, d})
+				if cfg.KeepLowerBounds {
+					row(lp.GE, d, i, j)
+				}
+			case d-cfg.Margin > 0 && d-cfg.Margin < 2*cfg.MaxRadius:
+				uppers = append(uppers, pairRow{i, j, d - cfg.Margin})
+			}
+		}
+	}
+	if maxPer := cfg.MaxNeighborConstraints; maxPer > 0 {
+		sort.Slice(uppers, func(a, b int) bool {
+			x, y := uppers[a], uppers[b]
+			if x.b != y.b {
+				return x.b < y.b
+			}
+			if x.i != y.i {
+				return x.i < y.i
+			}
+			return x.j < y.j
+		})
+		per := make([]int, n)
+		kept := uppers[:0]
+		for _, u := range uppers {
+			if per[u.i] >= maxPer && per[u.j] >= maxPer {
+				continue
+			}
+			per[u.i]++
+			per[u.j]++
+			kept = append(kept, u)
+		}
+		uppers = kept
+	}
+	for _, u := range uppers {
+		row(lp.LE, u.b, u.i, u.j)
+	}
+	for i := 0; i < n; i++ {
+		row(lp.LE, cfg.MaxRadius, i)
+	}
+	return prob, lowers, uppers
+}
+
+// The sparse, capped-per-AP, presolved assembly must keep exactly the
+// reference's rows before presolve and reach the reference optimum with
+// a point that satisfies every reference row. Where no two candidate
+// rows tie on b, the solve takes the same pivots on the rows left and
+// the trained radii are bit-identical.
+func TestEstimateRadiiMatchesReferenceAssembly(t *testing.T) {
+	type layout struct {
+		name string
+		ties bool
+		// world builds the knowledge and device sets from rng.
+		world func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC)
+	}
+	crowd := func(rng *rand.Rand, aps []geom.Point, half float64) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+		return campusWorld(aps, trueRanges(rng, len(aps)), uniformPoints(rng, len(aps)/4, half))
+	}
+	layouts := []layout{
+		{"uniform", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+			n := 30 + rng.Intn(40)
+			return crowd(rng, uniformPoints(rng, n, campusHalf(n)), campusHalf(n))
+		}},
+		{"grid", true, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+			n := 36 + rng.Intn(30)
+			spacing := []float64{30, 40, 50}[rng.Intn(3)]
+			return crowd(rng, gridPoints(n, spacing), spacing*math.Ceil(math.Sqrt(float64(n)))/2)
+		}},
+		{"nan positions", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+			n := 30 + rng.Intn(40)
+			infos, sets := crowd(rng, uniformPoints(rng, n, campusHalf(n)), campusHalf(n))
+			// Heard where they stand, but known at a corrupt position.
+			for _, i := range rng.Perm(n)[:3] {
+				infos[i].Pos = geom.Pt(math.NaN(), math.NaN())
+			}
+			infos[rng.Intn(n)].Pos.X = math.Inf(1)
+			return infos, sets
+		}},
+		{"lens", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+			// A device in the lens of every pair of overlapping true
+			// discs: the pairs heard together are exactly those whose
+			// discs meet, so the true radii violate at most the rows
+			// within Margin of touching, and KeepLowerBounds programs
+			// are mostly feasible.
+			n := 20 + rng.Intn(30)
+			aps, ranges := uniformPoints(rng, n, campusHalf(n)), trueRanges(rng, n)
+			var lens []geom.Point
+			for i := range aps {
+				for j := i + 1; j < n; j++ {
+					if d := aps[i].Dist(aps[j]); d < ranges[i]+ranges[j] {
+						t := (ranges[i] - (ranges[i]+ranges[j]-d)/2) / d
+						lens = append(lens, aps[i].Add(aps[j].Sub(aps[i]).Scale(t)))
+					}
+				}
+			}
+			return campusWorld(aps, ranges, lens)
+		}},
+		{"co-located", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+			n := 30 + rng.Intn(40)
+			infos, sets := crowd(rng, uniformPoints(rng, n, campusHalf(n)), campusHalf(n))
+			// Twins no device heard, at the very positions of heard APs:
+			// never co-observed at distance 0.
+			for _, i := range rng.Perm(n)[:5] {
+				infos = append(infos, APInfo{BSSID: apMAC(len(infos)), Pos: infos[i].Pos})
+			}
+			return infos, sets
+		}},
+	}
+	presolved, feasibleKeep := 0, 0
+	for _, l := range layouts {
+		for seed := int64(1); seed <= 4; seed++ {
+			infos, sets := l.world(rand.New(rand.NewSource(seed)))
+			k := NewKnowledge(infos)
+			for _, cap := range []int{0, 12} {
+				for _, keep := range []bool{false, true} {
+					cfg := APRadConfig{MaxRadius: 160, MaxNeighborConstraints: cap, KeepLowerBounds: keep}
+					name := fmt.Sprintf("%s/seed%d/cap%d/keep=%v", l.name, seed, cap, keep)
+					t.Run(name, func(t *testing.T) {
+						dropped, solved := checkAgainstReference(t, k, sets, cfg, !l.ties)
+						presolved += dropped
+						if solved && keep {
+							feasibleKeep++
+						}
+					})
+				}
+			}
+		}
+	}
+	if presolved == 0 || feasibleKeep == 0 {
+		t.Errorf("presolve dropped %d rows, %d KeepLowerBounds programs solved; the inputs no longer exercise both",
+			presolved, feasibleKeep)
+	}
+}
+
+// checkAgainstReference runs one differential case. It returns how many
+// rows presolve dropped and whether the program had an optimum.
+func checkAgainstReference(t *testing.T, k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig, bitIdentical bool) (int, bool) {
+	t.Helper()
+	ref, refLowers, refUppers := referenceProgram(k, sets, cfg)
+	full, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowers, uppers := radiusRows(k.Snapshot(), sets, full)
+	if fmt.Sprint(lowers) != fmt.Sprint(refLowers) {
+		t.Fatalf("co-observed pairs differ: %d vs reference %d", len(lowers), len(refLowers))
+	}
+	if len(uppers) != len(refUppers) {
+		t.Fatalf("kept %d pair rows, reference %d", len(uppers), len(refUppers))
+	}
+	for i := range uppers {
+		if uppers[i] != refUppers[i] {
+			t.Fatalf("kept row %d is %+v, reference %+v", i, uppers[i], refUppers[i])
+		}
+	}
+
+	prob, _ := radiusProgram(k.Snapshot(), sets, full)
+	x, obj, _, err := lp.SolveStats(prob)
+	refX, refObj, _, refErr := lp.SolveStats(ref)
+	if errors.Is(err, lp.ErrInfeasible) != errors.Is(refErr, lp.ErrInfeasible) || (err == nil) != (refErr == nil) {
+		t.Fatalf("solve: %v, reference %v", err, refErr)
+	}
+	trained, diag, trainErr := EstimateRadii(k, sets, cfg)
+	if (trainErr == nil) != (err == nil) {
+		t.Fatalf("EstimateRadii: %v, program solve %v", trainErr, err)
+	}
+	dropped := len(ref.Constraints) - len(prob.Constraints)
+	if err != nil {
+		return dropped, false
+	}
+	if math.Abs(obj-refObj) > 1e-9*math.Max(1, math.Abs(refObj)) {
+		t.Errorf("objective %v, reference %v", obj, refObj)
+	}
+	if diag.Objective != obj || diag.Constraints != len(prob.Constraints) {
+		t.Errorf("diagnostics %+v, program %d rows at objective %v", diag, len(prob.Constraints), obj)
+	}
+	for j, v := range x {
+		if v < -1e-6 {
+			t.Errorf("r%d = %v < 0", j, v)
+		}
+	}
+	for i, c := range ref.Constraints {
+		s := 0.0
+		for j, v := range x {
+			s += c.Coeffs[j] * v
+		}
+		if (c.Rel == lp.LE && s > c.B+1e-6) || (c.Rel == lp.GE && s < c.B-1e-6) {
+			t.Errorf("reference row %d: %v %v %v violated", i, s, c.Rel, c.B)
+		}
+	}
+	if bitIdentical {
+		for _, lb := range refLowers {
+			half := math.Min(lb.b/2, full.MaxRadius)
+			refX[lb.i] = math.Max(refX[lb.i], half)
+			refX[lb.j] = math.Max(refX[lb.j], half)
+		}
+		for i, e := range trained.All() {
+			if math.Float64bits(e.MaxRange) != math.Float64bits(refX[i]) {
+				t.Fatalf("radius %d = %v, reference %v", i, e.MaxRange, refX[i])
+			}
+		}
+	}
+	return dropped, true
+}
+
+// BenchmarkEstimateRadii trains the production AP-Rad configuration
+// (MaxRadius 160 m, at most 12 neighbour rows per AP) on a stratified
+// campus at the production AP density (300 APs on 700 m × 700 m), with
+// a static, stratified crowd of one device per 15 APs hearing every AP
+// whose true range covers it: the training time as the AP count grows.
+// At 300 APs the program has the shape of enginebench's last aprad_retrain
+// hour, about 1,300 rows solved in about 470 pivots.
+func BenchmarkEstimateRadii(b *testing.B) {
+	cfg := APRadConfig{MaxRadius: 160, MaxNeighborConstraints: 12}
+	for _, n := range []int{300, 800} {
+		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			half := campusHalf(n)
+			aps := stratifiedPoints(rng, n, half)
+			infos, sets := campusWorld(aps, trueRanges(rng, n), stratifiedPoints(rng, n/15, half))
+			k := NewKnowledge(infos)
+			_, diag, err := EstimateRadii(k, sets, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := EstimateRadii(k, sets, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(diag.Constraints), "rows")
+			b.ReportMetric(float64(diag.LPIterations), "pivots")
+		})
+	}
 }

@@ -35,7 +35,7 @@ type KnowledgeTrainer interface {
 // the radius-estimation LP — surfaced so the engine can attribute every
 // estimate to the exact training run that produced its knowledge.
 type TrainDiag struct {
-	// Constraints is the LP's pairwise-constraint count.
+	// Constraints is the number of rows the LP solved.
 	Constraints int
 	// LPIterations is the simplex pivot count of the solve.
 	LPIterations int

@@ -9,7 +9,9 @@
 // the basic variables are implicit, so an m-row program over n variables
 // with g ≥ rows takes (m+1)×(n+g) floats rather than a full tableau's
 // (m+1)×(n+m+g). Each pivot touches only the nonzero entries of its pivot
-// row.
+// row. Constraints come dense (one coefficient per variable) or sparse
+// (variable indices with their coefficients); a sparse row costs the
+// solver's setup only its nonzeros.
 package lp
 
 import (
@@ -42,11 +44,17 @@ func (r Relation) String() string {
 	}
 }
 
-// Constraint is one linear constraint over the problem variables.
+// Constraint is one linear constraint over the problem variables, in
+// dense or sparse form.
 type Constraint struct {
-	// Coeffs holds one coefficient per variable (dense).
+	// Coeffs holds the row's coefficients. Dense form (Vars nil): one per
+	// variable. Sparse form: Coeffs[k] is the coefficient of variable
+	// Vars[k], and every variable not listed has coefficient 0.
 	Coeffs []float64
-	Rel    Relation
+	// Vars selects the sparse form: the indices of the row's variables,
+	// each listed at most once, in any order.
+	Vars []int
+	Rel  Relation
 	// B is the right-hand side.
 	B float64
 }
@@ -108,17 +116,37 @@ func SolveStats(p Problem) ([]float64, float64, Stats, error) {
 			return nil, 0, st, fmt.Errorf("lp: objective coefficient %d is %v", j, v)
 		}
 	}
+	// seen[j] == i+1 marks variable j as listed by sparse constraint i.
+	var seen []int
 	for i, c := range p.Constraints {
-		if len(c.Coeffs) != n {
+		switch {
+		case c.Vars == nil && len(c.Coeffs) != n:
 			return nil, 0, st, fmt.Errorf("lp: constraint %d has %d coefficients, want %d",
 				i, len(c.Coeffs), n)
+		case c.Vars != nil && len(c.Vars) != len(c.Coeffs):
+			return nil, 0, st, fmt.Errorf("lp: constraint %d has %d coefficients for %d variables",
+				i, len(c.Coeffs), len(c.Vars))
 		}
 		switch c.Rel {
 		case LE, GE, EQ:
 		default:
 			return nil, 0, st, fmt.Errorf("lp: constraint %d has invalid relation", i)
 		}
-		for j, v := range c.Coeffs {
+		if seen == nil && c.Vars != nil {
+			seen = make([]int, n)
+		}
+		for k, v := range c.Coeffs {
+			j := k
+			if c.Vars != nil {
+				j = c.Vars[k]
+				if j < 0 || j >= n {
+					return nil, 0, st, fmt.Errorf("lp: constraint %d variable %d out of range [0, %d)", i, j, n)
+				}
+				if seen[j] == i+1 {
+					return nil, 0, st, fmt.Errorf("lp: constraint %d lists variable %d twice", i, j)
+				}
+				seen[j] = i + 1
+			}
 			if !finite(v) {
 				return nil, 0, st, fmt.Errorf("lp: constraint %d coefficient %d is %v", i, j, v)
 			}
@@ -228,14 +256,19 @@ func newDict(p Problem) *dict {
 	slackVar, artVar, surplusSlot := n, d.artStart, n
 	for i, c := range p.Constraints {
 		row := d.a[i*w : i*w+n]
+		sign := 1.0
 		if c.B < 0 {
+			sign = -1
+		}
+		d.rhs[i] = sign * c.B
+		if c.Vars == nil {
 			for j, v := range c.Coeffs {
-				row[j] = -v
+				row[j] = sign * v
 			}
-			d.rhs[i] = -c.B
 		} else {
-			copy(row, c.Coeffs)
-			d.rhs[i] = c.B
+			for k, j := range c.Vars {
+				row[j] = sign * c.Coeffs[k]
+			}
 		}
 		switch rels[i] {
 		case LE:

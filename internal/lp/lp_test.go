@@ -170,6 +170,36 @@ func TestSolveValidation(t *testing.T) {
 	if _, _, err := Solve(p); err == nil {
 		t.Error("want error for invalid relation")
 	}
+	for _, tc := range []struct {
+		name string
+		row  Constraint
+		want string
+	}{
+		{"fewer coefficients than variables", Constraint{Vars: []int{0, 1}, Coeffs: []float64{1}}, "1 coefficients for 2 variables"},
+		{"more coefficients than variables", Constraint{Vars: []int{2}, Coeffs: []float64{1, 1}}, "2 coefficients for 1 variables"},
+		{"negative variable", Constraint{Vars: []int{0, -1}, Coeffs: []float64{1, 1}}, "variable -1 out of range"},
+		{"variable past the last", Constraint{Vars: []int{3}, Coeffs: []float64{1}}, "variable 3 out of range"},
+		{"repeated variable", Constraint{Vars: []int{2, 0, 2}, Coeffs: []float64{1, 1, -1}}, "lists variable 2 twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			row := tc.row
+			row.Rel, row.B = LE, 4
+			p := Problem{
+				Objective: []float64{1, 1, 1},
+				Constraints: []Constraint{
+					{Vars: []int{2, 0}, Coeffs: []float64{1, 1}, Rel: LE, B: 5},
+					row,
+				},
+			}
+			x, obj, err := Solve(p)
+			if err == nil {
+				t.Fatalf("Solve accepted it: x=%v obj=%v", x, obj)
+			}
+			if want := "constraint 1 "; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %q, want it to name %q and %q", err, want, tc.want)
+			}
+		})
+	}
 }
 
 // APRadShape mirrors the AP-Rad use: maximize sum of radii with pairwise
@@ -299,6 +329,12 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 		{"NaN coefficient", func(p *Problem) { p.Constraints[1].Coeffs[0] = math.NaN() }, "constraint 1 coefficient 0"},
 		{"-Inf coefficient", func(p *Problem) { p.Constraints[0].Coeffs[1] = math.Inf(-1) }, "constraint 0 coefficient 1"},
 		{"NaN right-hand side", func(p *Problem) { p.Constraints[0].B = math.NaN() }, "constraint 0 right-hand side"},
+		{"NaN sparse coefficient", func(p *Problem) {
+			p.Constraints[1] = Constraint{Vars: []int{1, 0}, Coeffs: []float64{1, math.NaN()}, Rel: LE, B: 5}
+		}, "constraint 1 coefficient 0"},
+		{"+Inf sparse coefficient", func(p *Problem) {
+			p.Constraints[0] = Constraint{Vars: []int{1}, Coeffs: []float64{math.Inf(1)}, Rel: LE, B: 5}
+		}, "constraint 0 coefficient 1"},
 		{"+Inf right-hand side", func(p *Problem) { p.Constraints[1].B = math.Inf(1) }, "constraint 1 right-hand side"},
 	}
 	for _, tc := range cases {
@@ -433,6 +469,31 @@ func errClass(err error) string {
 	return "error: " + err.Error()
 }
 
+// mixedProgram draws a small general program: ≤, ≥ and = rows, negative
+// right-hand sides, arbitrary coefficients with a third of them zero.
+func mixedProgram(rng *rand.Rand) Problem {
+	n := 1 + rng.Intn(6)
+	m := 1 + rng.Intn(8)
+	p := Problem{Objective: make([]float64, n)}
+	for j := range p.Objective {
+		p.Objective[j] = float64(rng.Intn(9)-2) + rng.Float64()*float64(rng.Intn(2))
+	}
+	for i := 0; i < m; i++ {
+		c := Constraint{
+			Coeffs: make([]float64, n),
+			Rel:    []Relation{LE, LE, GE, EQ}[rng.Intn(4)],
+			B:      rng.Float64()*20 - 6,
+		}
+		for j := range c.Coeffs {
+			if rng.Intn(3) > 0 {
+				c.Coeffs[j] = rng.Float64()*6 - 2
+			}
+		}
+		p.Constraints = append(p.Constraints, c)
+	}
+	return p
+}
+
 // On general programs (≥ and = rows, negative right-hand sides, arbitrary
 // coefficients) rounding may steer the two solvers apart, so only the
 // outcome must agree: the error class, the optimum within 1e-9 relative,
@@ -440,26 +501,7 @@ func errClass(err error) string {
 func TestSolveMatchesDenseOracleMixed(t *testing.T) {
 	classes := map[string]int{}
 	for seed := int64(1); seed <= 3000; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		m := 1 + rng.Intn(8)
-		p := Problem{Objective: make([]float64, n)}
-		for j := range p.Objective {
-			p.Objective[j] = float64(rng.Intn(9)-2) + rng.Float64()*float64(rng.Intn(2))
-		}
-		for i := 0; i < m; i++ {
-			c := Constraint{
-				Coeffs: make([]float64, n),
-				Rel:    []Relation{LE, LE, GE, EQ}[rng.Intn(4)],
-				B:      rng.Float64()*20 - 6,
-			}
-			for j := range c.Coeffs {
-				if rng.Intn(3) > 0 {
-					c.Coeffs[j] = rng.Float64()*6 - 2
-				}
-			}
-			p.Constraints = append(p.Constraints, c)
-		}
+		p := mixedProgram(rand.New(rand.NewSource(seed)))
 		x, obj, err := Solve(p)
 		_, wobj, _, werr := denseOracle(p)
 		class := errClass(err)
@@ -493,6 +535,58 @@ func TestSolveMatchesDenseOracleMixed(t *testing.T) {
 		if classes[c] < 100 {
 			t.Errorf("only %d %s programs in the mix %v; the generator no longer covers it", classes[c], c, classes)
 		}
+	}
+}
+
+// sparseOf writes every row of the dense program p in sparse form: its
+// nonzero coefficients in a shuffled variable order, now and then with an
+// explicit zero among them.
+func sparseOf(p Problem, rng *rand.Rand) Problem {
+	sp := Problem{Objective: p.Objective, Constraints: make([]Constraint, len(p.Constraints))}
+	for i, c := range p.Constraints {
+		row := Constraint{Vars: []int{}, Coeffs: []float64{}, Rel: c.Rel, B: c.B}
+		for _, j := range rng.Perm(len(c.Coeffs)) {
+			if c.Coeffs[j] != 0 || rng.Intn(8) == 0 {
+				row.Vars = append(row.Vars, j)
+				row.Coeffs = append(row.Coeffs, c.Coeffs[j])
+			}
+		}
+		sp.Constraints[i] = row
+	}
+	return sp
+}
+
+// The sparse form is another way to write the same rows: written sparse,
+// a program solves bit-identically to its dense self — the same point,
+// objective and Stats, or the same error.
+func TestSolveSparseMatchesDense(t *testing.T) {
+	check := func(t *testing.T, name string, p Problem, rng *rand.Rand) {
+		t.Helper()
+		x, obj, st, err := SolveStats(p)
+		sx, sobj, sst, serr := SolveStats(sparseOf(p, rng))
+		if fmt.Sprint(err) != fmt.Sprint(serr) || st != sst {
+			t.Fatalf("%s: sparse %v %+v, dense %v %+v", name, serr, sst, err, st)
+		}
+		if math.Float64bits(obj) != math.Float64bits(sobj) {
+			t.Errorf("%s: sparse objective %v, dense %v", name, sobj, obj)
+		}
+		for j := range x {
+			if math.Float64bits(x[j]) != math.Float64bits(sx[j]) {
+				t.Fatalf("%s: sparse x[%d] = %v, dense %v", name, j, sx[j], x[j])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for seed := int64(1); seed <= 12; seed++ {
+		coObserved := 0.0
+		if seed%3 == 0 {
+			coObserved = 40
+		}
+		gen := rand.New(rand.NewSource(seed))
+		check(t, fmt.Sprintf("aprad seed %d", seed), apradProgram(gen, 2+gen.Intn(199), []int{0, 2, 12}[seed%3], 160, coObserved), rng)
+	}
+	for seed := int64(1); seed <= 1000; seed++ {
+		check(t, fmt.Sprintf("mixed seed %d", seed), mixedProgram(rand.New(rand.NewSource(seed))), rng)
 	}
 }
 

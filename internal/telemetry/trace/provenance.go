@@ -66,7 +66,7 @@ type TrainingInfo struct {
 	Algorithm string `json:"algorithm"`
 	// Gen is the knowledge generation the run produced.
 	Gen uint64 `json:"gen"`
-	// Constraints is the LP's pairwise-constraint count.
+	// Constraints is the number of rows the LP solved.
 	Constraints int `json:"constraints"`
 	// LPIterations is the simplex pivot count the solve took.
 	LPIterations int `json:"lpIterations"`
