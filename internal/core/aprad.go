@@ -9,7 +9,6 @@ import (
 	"repro/internal/apdb"
 	"repro/internal/dot11"
 	"repro/internal/geom"
-	"repro/internal/lp"
 )
 
 // APRadConfig tunes the AP-Rad radius estimation.
@@ -22,16 +21,12 @@ type APRadConfig struct {
 	// rᵢ + rⱼ < dᵢⱼ as rᵢ + rⱼ ≤ dᵢⱼ − ε. Must be finite; ≤ 0 selects the
 	// default of 1 metre.
 	Margin float64
-	// KeepLowerBounds retains the rᵢ + rⱼ ≥ dᵢⱼ constraints inside the LP.
-	// They never bind when maximizing Σ rᵢ, so by default they are dropped
-	// from the program and verified afterwards, which keeps the simplex
-	// phase-1-free and much faster on large AP sets.
-	KeepLowerBounds bool
 	// MaxNeighborConstraints caps, per AP, how many "never co-observed"
 	// constraints are kept (the nearest neighbours, whose constraints are
 	// tightest): a row rᵢ + rⱼ ≤ b is kept iff it is among the first
 	// MaxNeighborConstraints rows of APᵢ or of APⱼ in the order (b, i, j).
-	// 0 keeps all of them — exact but quadratic in the AP count.
+	// 0 keeps all of them — exact but quadratic in the AP count; a
+	// negative cap is an error.
 	MaxNeighborConstraints int
 }
 
@@ -42,6 +37,10 @@ func (c APRadConfig) withDefaults() (APRadConfig, error) {
 	if math.IsNaN(c.Margin) || math.IsInf(c.Margin, 0) {
 		return c, fmt.Errorf("core: AP-Rad needs a finite Margin, got %v", c.Margin)
 	}
+	if c.MaxNeighborConstraints < 0 {
+		return c, fmt.Errorf("core: AP-Rad needs MaxNeighborConstraints >= 0 (0 keeps all), got %d",
+			c.MaxNeighborConstraints)
+	}
 	if c.Margin <= 0 {
 		c.Margin = 1
 	}
@@ -51,10 +50,11 @@ func (c APRadConfig) withDefaults() (APRadConfig, error) {
 // APRadDiagnostics reports how the radius estimation went.
 type APRadDiagnostics struct {
 	// Constraints is the number of rows the LP solved: pair rows left
-	// after presolve, the kept lower bounds, and one box row per AP.
+	// after presolve and one box row per AP.
 	Constraints int
-	// LPIterations is the simplex pivot count the solve took (phase 1 and
-	// phase 2 combined) — the cost side of the training provenance.
+	// LPIterations is the number of solver steps the solve took: one per
+	// AP for its bound, one per greedy match and one per matching search
+	// — the cost side of the training provenance.
 	LPIterations int
 	// LowerBoundViolations counts co-observed pairs whose rᵢ + rⱼ ≥ dᵢⱼ
 	// constraint the maximized solution violates — evidence of inconsistent
@@ -78,7 +78,10 @@ type APRadDiagnostics struct {
 //
 // Constraints that cannot bind are pruned: a "never co-observed" pair with
 // dᵢⱼ ≥ 2·MaxRadius is implied by the box bounds, and presolve drops the
-// pair rows the other kept rows imply.
+// pair rows the other kept rows imply. The co-observed rows are left out
+// of the solve and enforced by a repair pass afterwards. The LP left is
+// solved exactly as a maximum-weight matching on its bipartite double
+// cover (see radMatch).
 func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 	cfg APRadConfig) (Knowledge, APRadDiagnostics, error) {
 	var diag APRadDiagnostics
@@ -92,15 +95,15 @@ func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 	if n == 0 {
 		return Knowledge{}, diag, ErrNoAPs
 	}
-	prob, lowers := radiusProgram(sn, deviceSets, cfg)
-	diag.Constraints = len(prob.Constraints)
-
-	x, obj, lpStats, err := lp.SolveStats(prob)
-	diag.LPIterations = lpStats.Pivots()
-	if err != nil {
-		return Knowledge{}, diag, fmt.Errorf("ap-rad lp: %w", err)
+	lowers, uppers := radiusRows(sn, deviceSets, cfg)
+	c, uppers := presolve(uppers, n, cfg.MaxRadius)
+	diag.Constraints = len(uppers) + n
+	m := newRadMatch(uppers, c)
+	diag.LPIterations = m.steps
+	x := m.radii(c, cfg.MaxRadius)
+	for _, r := range x {
+		diag.Objective += r
 	}
-	diag.Objective = obj
 
 	// Repair pass: a co-observed pair is hard evidence that rᵢ + rⱼ ≥ dᵢⱼ,
 	// while a "never co-observed" constraint is only absence of evidence.
@@ -128,46 +131,6 @@ func EstimateRadii(k Knowledge, deviceSets map[dot11.MAC][]dot11.MAC,
 		out[i] = in
 	}
 	return NewKnowledge(out), diag, nil
-}
-
-// radiusProgram assembles the radius LP over the snapshot's slots:
-// maximize Σ rᵢ subject to the co-observed lower bounds when kept, the
-// pair rows radiusRows keeps and presolve leaves, then the box bounds
-// rᵢ ≤ MaxRadius, as sparse rows over one slab of variable indices. It
-// returns the co-observed pairs alongside, for the repair pass.
-func radiusProgram(sn *apdb.Snapshot, deviceSets map[dot11.MAC][]dot11.MAC,
-	cfg APRadConfig) (lp.Problem, []pairRow) {
-	n := sn.Len()
-	lowers, uppers := radiusRows(sn, deviceSets, cfg)
-	uppers = presolve(uppers, n, cfg.MaxRadius)
-	rows := len(uppers) + n
-	if cfg.KeepLowerBounds {
-		rows += len(lowers)
-	}
-	prob := lp.Problem{Objective: make([]float64, n), Constraints: make([]lp.Constraint, 0, rows)}
-	for i := range prob.Objective {
-		prob.Objective[i] = 1
-	}
-	vars := make([]int, 0, 2*rows)
-	ones := []float64{1, 1}
-	add := func(rel lp.Relation, b float64, v ...int) {
-		at := len(vars)
-		vars = append(vars, v...)
-		prob.Constraints = append(prob.Constraints,
-			lp.Constraint{Coeffs: ones[:len(v)], Vars: vars[at:len(vars):len(vars)], Rel: rel, B: b})
-	}
-	if cfg.KeepLowerBounds {
-		for _, r := range lowers {
-			add(lp.GE, r.b, r.i, r.j)
-		}
-	}
-	for _, r := range uppers {
-		add(lp.LE, r.b, r.i, r.j)
-	}
-	for i := 0; i < n; i++ {
-		add(lp.LE, cfg.MaxRadius, i)
-	}
-	return prob, lowers
 }
 
 // pairRow is one pairwise row rᵢ + rⱼ against b of the radius program,
@@ -214,14 +177,18 @@ func radiusRows(sn *apdb.Snapshot, deviceSets map[dot11.MAC][]dot11.MAC,
 	}
 	// A never-co-observed pair at a squared distance of reach2 or more
 	// has b ≥ 2·MaxRadius with a relative 1e-9 to spare for rounding, so
-	// it is dropped before the square root.
+	// it is dropped before the square root, as is one that both its APs'
+	// capped rows would reject.
 	reach2 := (2*cfg.MaxRadius + cfg.Margin) * (2*cfg.MaxRadius + cfg.Margin) * (1 + 1e-9)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			bit := i*n + j
 			coObs := co[bit/64]&(1<<(bit%64)) != 0
-			if !coObs && pos[i].Dist2(pos[j]) >= reach2 {
-				continue
+			if !coObs {
+				d2 := pos[i].Dist2(pos[j])
+				if d2 >= reach2 || top.k > 0 && top.beyond(i, d2, cfg.Margin) && top.beyond(j, d2, cfg.Margin) {
+					continue
+				}
 			}
 			d := pos[i].Dist(pos[j])
 			if math.IsNaN(d) || math.IsInf(d, 0) {
@@ -295,6 +262,17 @@ type firstRows struct {
 	size []int
 }
 
+// beyond reports whether AP a already holds k rows and a pair at the
+// squared distance d2 would come after all of them, with a relative
+// 1e-9 to spare for rounding: offering it would change nothing.
+func (t *firstRows) beyond(a int, d2, margin float64) bool {
+	if t.size[a] < t.k {
+		return false
+	}
+	far := t.rows[(a+1)*t.k-1].b + margin
+	return d2 > far*far*(1+1e-9)
+}
+
 // offer hands AP a one of its rows.
 func (t *firstRows) offer(a int, r pairRow) {
 	h := t.rows[a*t.k : (a+1)*t.k]
@@ -318,8 +296,8 @@ func (t *firstRows) offer(a int, r pairRow) {
 // uᵢ + uⱼ < b can never bind. The drop is exact: a row attaining some
 // uᵢ has b ≤ uᵢ + uⱼ and stays, so every bound the argument uses
 // survives it, and the feasible region — hence the optimum — is
-// unchanged.
-func presolve(rows []pairRow, n int, maxRadius float64) []pairRow {
+// unchanged. It returns the bounds u and the rows kept, in order.
+func presolve(rows []pairRow, n int, maxRadius float64) ([]float64, []pairRow) {
 	u := make([]float64, n)
 	for i := range u {
 		u[i] = maxRadius
@@ -334,7 +312,7 @@ func presolve(rows []pairRow, n int, maxRadius float64) []pairRow {
 			kept = append(kept, r)
 		}
 	}
-	return kept
+	return u, kept
 }
 
 // MLocInflated runs M-Loc, and on an empty intersection region retries

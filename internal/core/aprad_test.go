@@ -84,22 +84,31 @@ func TestEstimateRadiiNeverCoObservedBinds(t *testing.T) {
 }
 
 func TestEstimateRadiiKeepLowerBounds(t *testing.T) {
+	// The co-observed rows stay out of the solve. On lineWorld they do not
+	// bind at the maximum: the program with them kept reaches the same
+	// optimum, and the trained radii satisfy them.
 	k, sets := lineWorld()
-	_, fastDiag, err := EstimateRadii(k, sets, APRadConfig{MaxRadius: 150})
+	cfg := APRadConfig{MaxRadius: 150}
+	out, diag, err := EstimateRadii(k, sets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, slowDiag, err := EstimateRadii(k, sets, APRadConfig{MaxRadius: 150, KeepLowerBounds: true})
+	keep, lowers, _ := referenceProgram(k, sets, cfg, true)
+	_, keepObj, _, err := lp.SolveStats(keep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same optimal objective either way (lower bounds never bind at the
-	// maximum); the vertex attaining it may differ.
-	if math.Abs(fastDiag.Objective-slowDiag.Objective) > 1e-6 {
-		t.Errorf("objective: fast %v vs slow %v", fastDiag.Objective, slowDiag.Objective)
+	if math.Abs(diag.Objective-keepObj) > 1e-6 {
+		t.Errorf("objective: %v, with lower bounds kept %v", diag.Objective, keepObj)
 	}
-	if slowDiag.Constraints <= fastDiag.Constraints {
+	if len(keep.Constraints) <= diag.Constraints {
 		t.Error("keeping lower bounds should add constraints")
+	}
+	x := out.All()
+	for _, lb := range lowers {
+		if s := x[lb.i].MaxRange + x[lb.j].MaxRange; s < lb.b-1e-6 {
+			t.Errorf("r%d+r%d = %v, want >= %v", lb.i+1, lb.j+1, s, lb.b)
+		}
 	}
 }
 
@@ -113,7 +122,7 @@ func TestEstimateRadiiValidation(t *testing.T) {
 	}
 	// A non-finite Margin would silently drop every never-co-observed
 	// row, and a non-finite MaxRadius would fail only inside the solver:
-	// both are config errors.
+	// both are config errors, as is a negative neighbour cap.
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		cfg  APRadConfig
@@ -125,6 +134,9 @@ func TestEstimateRadiiValidation(t *testing.T) {
 		{APRadConfig{MaxRadius: nan}, "finite MaxRadius"},
 		{APRadConfig{MaxRadius: inf}, "finite MaxRadius"},
 		{APRadConfig{MaxRadius: -inf}, "finite MaxRadius"},
+		// A negative cap used to act as 0, keeping every row.
+		{APRadConfig{MaxRadius: 150, MaxNeighborConstraints: -1}, "MaxNeighborConstraints >= 0"},
+		{APRadConfig{MaxRadius: 150, MaxNeighborConstraints: math.MinInt}, "MaxNeighborConstraints >= 0"},
 	} {
 		_, _, err := EstimateRadii(k, sets, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "lp") {
@@ -167,23 +179,21 @@ func TestEstimateRadiiNonFinitePositionIsolated(t *testing.T) {
 		mac(101): {mac(1), mac(2), mac(3)},
 		mac(102): {mac(1), mac(3)},
 	}
-	for _, keep := range []bool{false, true} {
-		out, diag, err := EstimateRadii(k, sets, APRadConfig{MaxRadius: 150, KeepLowerBounds: keep})
-		if err != nil {
-			t.Fatalf("keep=%v: %v", keep, err)
+	out, diag, err := EstimateRadii(k, sets, APRadConfig{MaxRadius: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := knownRange(t, out, mac(1)), knownRange(t, out, mac(2))
+	for i, r := range []float64{r1, r2, knownRange(t, out, mac(3))} {
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 || r > 150+1e-6 {
+			t.Errorf("r%d = %v, want finite in [0, 150]", i+1, r)
 		}
-		r1, r2 := knownRange(t, out, mac(1)), knownRange(t, out, mac(2))
-		for i, r := range []float64{r1, r2, knownRange(t, out, mac(3))} {
-			if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 || r > 150+1e-6 {
-				t.Errorf("keep=%v: r%d = %v, want finite in [0, 150]", keep, i+1, r)
-			}
-		}
-		if r1+r2 < 100-1e-6 {
-			t.Errorf("keep=%v: r1+r2 = %v, want >= 100", keep, r1+r2)
-		}
-		if diag.LowerBoundViolations != 0 {
-			t.Errorf("keep=%v: violations = %d, want 0", keep, diag.LowerBoundViolations)
-		}
+	}
+	if r1+r2 < 100-1e-6 {
+		t.Errorf("r1+r2 = %v, want >= 100", r1+r2)
+	}
+	if diag.LowerBoundViolations != 0 {
+		t.Errorf("violations = %d, want 0", diag.LowerBoundViolations)
 	}
 }
 
@@ -325,9 +335,10 @@ func campusWorld(aps []geom.Point, ranges []float64, devices []geom.Point) ([]AP
 // referenceProgram is the radius program assembled straight from its
 // definition: a co-observation map, dense rows, every binding-capable
 // never-co-observed pair sorted on (b, i, j) and kept greedily while one
-// of its APs is below the cap, and no presolve. uppers lists the kept
-// pair rows in program order.
-func referenceProgram(k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig) (prob lp.Problem, lowers, uppers []pairRow) {
+// of its APs is below the cap, and no presolve. With keepLowers the
+// co-observed rows rᵢ + rⱼ ≥ dᵢⱼ come first, in pair order. uppers lists
+// the kept pair rows in program order.
+func referenceProgram(k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig, keepLowers bool) (prob lp.Problem, lowers, uppers []pairRow) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		panic(err)
@@ -364,7 +375,7 @@ func referenceProgram(k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConf
 			case math.IsNaN(d) || math.IsInf(d, 0):
 			case co[[2]int{i, j}]:
 				lowers = append(lowers, pairRow{i, j, d})
-				if cfg.KeepLowerBounds {
+				if keepLowers {
 					row(lp.GE, d, i, j)
 				}
 			case d-cfg.Margin > 0 && d-cfg.Margin < 2*cfg.MaxRadius:
@@ -372,29 +383,7 @@ func referenceProgram(k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConf
 			}
 		}
 	}
-	if maxPer := cfg.MaxNeighborConstraints; maxPer > 0 {
-		sort.Slice(uppers, func(a, b int) bool {
-			x, y := uppers[a], uppers[b]
-			if x.b != y.b {
-				return x.b < y.b
-			}
-			if x.i != y.i {
-				return x.i < y.i
-			}
-			return x.j < y.j
-		})
-		per := make([]int, n)
-		kept := uppers[:0]
-		for _, u := range uppers {
-			if per[u.i] >= maxPer && per[u.j] >= maxPer {
-				continue
-			}
-			per[u.i]++
-			per[u.j]++
-			kept = append(kept, u)
-		}
-		uppers = kept
-	}
+	uppers = greedyCap(uppers, n, cfg.MaxNeighborConstraints)
 	for _, u := range uppers {
 		row(lp.LE, u.b, u.i, u.j)
 	}
@@ -404,32 +393,79 @@ func referenceProgram(k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConf
 	return prob, lowers, uppers
 }
 
-// The sparse, capped-per-AP, presolved assembly must keep exactly the
-// reference's rows before presolve and reach the reference optimum with
-// a point that satisfies every reference row. Where no two candidate
-// rows tie on b, the solve takes the same pivots on the rows left and
-// the trained radii are bit-identical.
-func TestEstimateRadiiMatchesReferenceAssembly(t *testing.T) {
-	type layout struct {
-		name string
-		ties bool
-		// world builds the knowledge and device sets from rng.
-		world func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC)
+// greedyCap applies the neighbour cap by its definition: rows sorted on
+// (b, i, j), each kept while one of its APs has fewer than perAP kept
+// rows. perAP 0 keeps every row, in the given order.
+func greedyCap(rows []pairRow, n, perAP int) []pairRow {
+	if perAP == 0 {
+		return rows
 	}
+	sort.Slice(rows, func(a, b int) bool {
+		x, y := rows[a], rows[b]
+		if x.b != y.b {
+			return x.b < y.b
+		}
+		if x.i != y.i {
+			return x.i < y.i
+		}
+		return x.j < y.j
+	})
+	per := make([]int, n)
+	kept := rows[:0]
+	for _, r := range rows {
+		if per[r.i] >= perAP && per[r.j] >= perAP {
+			continue
+		}
+		per[r.i]++
+		per[r.j]++
+		kept = append(kept, r)
+	}
+	return kept
+}
+
+// lpProgram is the program the matching solves, for the simplex: maximize
+// Σ rᵢ subject to the pair rows, as sparse rows, then rᵢ ≤ maxRadius.
+func lpProgram(rows []pairRow, n int, maxRadius float64) lp.Problem {
+	prob := lp.Problem{Objective: make([]float64, n)}
+	for i := range prob.Objective {
+		prob.Objective[i] = 1
+	}
+	ones := []float64{1, 1}
+	for _, r := range rows {
+		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: ones, Vars: []int{r.i, r.j}, Rel: lp.LE, B: r.b})
+	}
+	for i := 0; i < n; i++ {
+		prob.Constraints = append(prob.Constraints, lp.Constraint{Coeffs: ones[:1], Vars: []int{i}, Rel: lp.LE, B: maxRadius})
+	}
+	return prob
+}
+
+// referenceLayout is one family of training worlds for the differential
+// tests: world builds the knowledge and device sets from rng.
+type referenceLayout struct {
+	name  string
+	world func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC)
+}
+
+// referenceLayouts are small campuses that stress the row assembly and
+// the solver: uniform APs, a lattice with many exact distance ties, NaN
+// and infinite positions, a crowd in the lens of every overlapping pair,
+// and never-heard twins at the positions of heard APs.
+func referenceLayouts() []referenceLayout {
 	crowd := func(rng *rand.Rand, aps []geom.Point, half float64) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
 		return campusWorld(aps, trueRanges(rng, len(aps)), uniformPoints(rng, len(aps)/4, half))
 	}
-	layouts := []layout{
-		{"uniform", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+	return []referenceLayout{
+		{"uniform", func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
 			n := 30 + rng.Intn(40)
 			return crowd(rng, uniformPoints(rng, n, campusHalf(n)), campusHalf(n))
 		}},
-		{"grid", true, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+		{"grid", func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
 			n := 36 + rng.Intn(30)
 			spacing := []float64{30, 40, 50}[rng.Intn(3)]
 			return crowd(rng, gridPoints(n, spacing), spacing*math.Ceil(math.Sqrt(float64(n)))/2)
 		}},
-		{"nan positions", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+		{"nan positions", func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
 			n := 30 + rng.Intn(40)
 			infos, sets := crowd(rng, uniformPoints(rng, n, campusHalf(n)), campusHalf(n))
 			// Heard where they stand, but known at a corrupt position.
@@ -439,12 +475,12 @@ func TestEstimateRadiiMatchesReferenceAssembly(t *testing.T) {
 			infos[rng.Intn(n)].Pos.X = math.Inf(1)
 			return infos, sets
 		}},
-		{"lens", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+		{"lens", func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
 			// A device in the lens of every pair of overlapping true
 			// discs: the pairs heard together are exactly those whose
 			// discs meet, so the true radii violate at most the rows
-			// within Margin of touching, and KeepLowerBounds programs
-			// are mostly feasible.
+			// within Margin of touching, and the program with the
+			// co-observed rows kept is mostly feasible.
 			n := 20 + rng.Intn(30)
 			aps, ranges := uniformPoints(rng, n, campusHalf(n)), trueRanges(rng, n)
 			var lens []geom.Point
@@ -458,7 +494,7 @@ func TestEstimateRadiiMatchesReferenceAssembly(t *testing.T) {
 			}
 			return campusWorld(aps, ranges, lens)
 		}},
-		{"co-located", false, func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
+		{"co-located", func(rng *rand.Rand) ([]APInfo, map[dot11.MAC][]dot11.MAC) {
 			n := 30 + rng.Intn(40)
 			infos, sets := crowd(rng, uniformPoints(rng, n, campusHalf(n)), campusHalf(n))
 			// Twins no device heard, at the very positions of heard APs:
@@ -469,37 +505,49 @@ func TestEstimateRadiiMatchesReferenceAssembly(t *testing.T) {
 			return infos, sets
 		}},
 	}
+}
+
+// The sparse, capped-per-AP, presolved assembly must keep exactly the
+// reference's rows before presolve, and training must reach the
+// reference optimum with a point that satisfies every reference row
+// (keep=false). LP optima are not unique, so the point itself may differ
+// from the simplex's. The co-observed rows stay out of the solve; the
+// repair pass enforces them afterwards (keep=true).
+func TestEstimateRadiiMatchesReferenceAssembly(t *testing.T) {
 	presolved, feasibleKeep := 0, 0
-	for _, l := range layouts {
+	for _, l := range referenceLayouts() {
 		for seed := int64(1); seed <= 4; seed++ {
 			infos, sets := l.world(rand.New(rand.NewSource(seed)))
 			k := NewKnowledge(infos)
 			for _, cap := range []int{0, 12} {
+				cfg := APRadConfig{MaxRadius: 160, MaxNeighborConstraints: cap}
 				for _, keep := range []bool{false, true} {
-					cfg := APRadConfig{MaxRadius: 160, MaxNeighborConstraints: cap, KeepLowerBounds: keep}
 					name := fmt.Sprintf("%s/seed%d/cap%d/keep=%v", l.name, seed, cap, keep)
 					t.Run(name, func(t *testing.T) {
-						dropped, solved := checkAgainstReference(t, k, sets, cfg, !l.ties)
-						presolved += dropped
-						if solved && keep {
-							feasibleKeep++
+						if keep {
+							if checkLowerBounds(t, k, sets, cfg) {
+								feasibleKeep++
+							}
+							return
 						}
+						presolved += checkAgainstReference(t, k, sets, cfg)
 					})
 				}
 			}
 		}
 	}
 	if presolved == 0 || feasibleKeep == 0 {
-		t.Errorf("presolve dropped %d rows, %d KeepLowerBounds programs solved; the inputs no longer exercise both",
+		t.Errorf("presolve dropped %d rows, %d programs with the lower bounds kept solved; the inputs no longer exercise both",
 			presolved, feasibleKeep)
 	}
 }
 
-// checkAgainstReference runs one differential case. It returns how many
-// rows presolve dropped and whether the program had an optimum.
-func checkAgainstReference(t *testing.T, k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig, bitIdentical bool) (int, bool) {
+// checkAgainstReference runs one differential case against the
+// reference program without its co-observed rows. It returns how many
+// rows presolve dropped.
+func checkAgainstReference(t *testing.T, k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig) int {
 	t.Helper()
-	ref, refLowers, refUppers := referenceProgram(k, sets, cfg)
+	ref, refLowers, refUppers := referenceProgram(k, sets, cfg, false)
 	full, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -517,53 +565,108 @@ func checkAgainstReference(t *testing.T, k Knowledge, sets map[dot11.MAC][]dot11
 		}
 	}
 
-	prob, _ := radiusProgram(k.Snapshot(), sets, full)
-	x, obj, _, err := lp.SolveStats(prob)
-	refX, refObj, _, refErr := lp.SolveStats(ref)
-	if errors.Is(err, lp.ErrInfeasible) != errors.Is(refErr, lp.ErrInfeasible) || (err == nil) != (refErr == nil) {
-		t.Fatalf("solve: %v, reference %v", err, refErr)
-	}
-	trained, diag, trainErr := EstimateRadii(k, sets, cfg)
-	if (trainErr == nil) != (err == nil) {
-		t.Fatalf("EstimateRadii: %v, program solve %v", trainErr, err)
-	}
-	dropped := len(ref.Constraints) - len(prob.Constraints)
+	n := k.Len()
+	c, rows := presolve(uppers, n, full.MaxRadius)
+	x := newRadMatch(rows, c).radii(c, full.MaxRadius)
+	_, refObj, _, err := lp.SolveStats(ref)
 	if err != nil {
-		return dropped, false
+		t.Fatalf("reference: %v", err)
 	}
-	if math.Abs(obj-refObj) > 1e-9*math.Max(1, math.Abs(refObj)) {
+	tol := 1e-9 * math.Max(1, math.Abs(refObj))
+	obj := 0.0
+	for _, v := range x {
+		obj += v
+	}
+	if math.Abs(obj-refObj) > tol {
 		t.Errorf("objective %v, reference %v", obj, refObj)
-	}
-	if diag.Objective != obj || diag.Constraints != len(prob.Constraints) {
-		t.Errorf("diagnostics %+v, program %d rows at objective %v", diag, len(prob.Constraints), obj)
-	}
-	for j, v := range x {
-		if v < -1e-6 {
-			t.Errorf("r%d = %v < 0", j, v)
-		}
 	}
 	for i, c := range ref.Constraints {
 		s := 0.0
 		for j, v := range x {
 			s += c.Coeffs[j] * v
 		}
-		if (c.Rel == lp.LE && s > c.B+1e-6) || (c.Rel == lp.GE && s < c.B-1e-6) {
-			t.Errorf("reference row %d: %v %v %v violated", i, s, c.Rel, c.B)
+		if s > c.B+1e-6 {
+			t.Errorf("reference row %d: %v <= %v violated", i, s, c.B)
 		}
 	}
-	if bitIdentical {
-		for _, lb := range refLowers {
-			half := math.Min(lb.b/2, full.MaxRadius)
-			refX[lb.i] = math.Max(refX[lb.i], half)
-			refX[lb.j] = math.Max(refX[lb.j], half)
-		}
-		for i, e := range trained.All() {
-			if math.Float64bits(e.MaxRange) != math.Float64bits(refX[i]) {
-				t.Fatalf("radius %d = %v, reference %v", i, e.MaxRange, refX[i])
-			}
+	for j, v := range x {
+		if v < 0 {
+			t.Errorf("r%d = %v < 0", j, v)
 		}
 	}
-	return dropped, true
+
+	trained, diag, err := EstimateRadii(k, sets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(diag.Objective-refObj) > tol || diag.Constraints != len(rows)+n {
+		t.Errorf("diagnostics %+v, program %d rows at reference objective %v", diag, len(rows)+n, refObj)
+	}
+	// Training returns that point, raised by the repair pass.
+	for _, lb := range lowers {
+		half := math.Min(lb.b/2, full.MaxRadius)
+		x[lb.i] = math.Max(x[lb.i], half)
+		x[lb.j] = math.Max(x[lb.j], half)
+	}
+	for i, e := range trained.All() {
+		if math.Float64bits(e.MaxRange) != math.Float64bits(x[i]) {
+			t.Fatalf("radius %d = %v, solved and repaired %v", i, e.MaxRange, x[i])
+		}
+	}
+	return len(ref.Constraints) - len(rows) - n
+}
+
+// checkLowerBounds checks the co-observed rows against training: every
+// one within reach of the box holds after the repair pass, the others
+// are exactly the reported violations, and where the reference program
+// with those rows kept is feasible, its optimum is at most training's,
+// as they only shrink the feasible region. It reports whether that
+// program was feasible.
+func checkLowerBounds(t *testing.T, k Knowledge, sets map[dot11.MAC][]dot11.MAC, cfg APRadConfig) bool {
+	t.Helper()
+	keep, lowers, _ := referenceProgram(k, sets, cfg, true)
+	trained, diag, err := EstimateRadii(k, sets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := trained.All()
+	for i, e := range x {
+		if !(e.MaxRange >= 0 && e.MaxRange <= cfg.MaxRadius) {
+			t.Errorf("r%d = %v, want in [0, %v]", i, e.MaxRange, cfg.MaxRadius)
+		}
+	}
+	beyond := 0
+	for _, lb := range lowers {
+		s := x[lb.i].MaxRange + x[lb.j].MaxRange
+		if lb.b > 2*cfg.MaxRadius+1e-6 {
+			beyond++
+		} else if s < lb.b-1e-6 {
+			t.Errorf("co-observed r%d+r%d = %v, want >= %v", lb.i, lb.j, s, lb.b)
+		}
+	}
+	if diag.LowerBoundViolations != beyond {
+		t.Errorf("violations = %d, want the %d co-observed pairs beyond 2·MaxRadius", diag.LowerBoundViolations, beyond)
+	}
+	_, keepObj, _, err := lp.SolveStats(keep)
+	if errors.Is(err, lp.ErrInfeasible) {
+		return false
+	}
+	if err != nil {
+		t.Fatalf("reference with lower bounds: %v", err)
+	}
+	if keepObj > diag.Objective+1e-9*math.Max(1, math.Abs(keepObj)) {
+		t.Errorf("objective %v below %v, the optimum with the lower bounds kept", diag.Objective, keepObj)
+	}
+	return true
+}
+
+// campusCase builds BenchmarkEstimateRadii's campus of n APs.
+func campusCase(n int) (Knowledge, map[dot11.MAC][]dot11.MAC) {
+	rng := rand.New(rand.NewSource(1))
+	half := campusHalf(n)
+	aps := stratifiedPoints(rng, n, half)
+	infos, sets := campusWorld(aps, trueRanges(rng, n), stratifiedPoints(rng, n/15, half))
+	return NewKnowledge(infos), sets
 }
 
 // BenchmarkEstimateRadii trains the production AP-Rad configuration
@@ -572,16 +675,12 @@ func checkAgainstReference(t *testing.T, k Knowledge, sets map[dot11.MAC][]dot11
 // a static, stratified crowd of one device per 15 APs hearing every AP
 // whose true range covers it: the training time as the AP count grows.
 // At 300 APs the program has the shape of enginebench's last aprad_retrain
-// hour, about 1,300 rows solved in about 470 pivots.
+// hour, about 1,300 rows solved.
 func BenchmarkEstimateRadii(b *testing.B) {
 	cfg := APRadConfig{MaxRadius: 160, MaxNeighborConstraints: 12}
-	for _, n := range []int{300, 800} {
+	for _, n := range []int{300, 800, 1600, 3200} {
 		b.Run(fmt.Sprintf("aps=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			half := campusHalf(n)
-			aps := stratifiedPoints(rng, n, half)
-			infos, sets := campusWorld(aps, trueRanges(rng, n), stratifiedPoints(rng, n/15, half))
-			k := NewKnowledge(infos)
+			k, sets := campusCase(n)
 			_, diag, err := EstimateRadii(k, sets, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -594,7 +693,7 @@ func BenchmarkEstimateRadii(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(diag.Constraints), "rows")
-			b.ReportMetric(float64(diag.LPIterations), "pivots")
+			b.ReportMetric(float64(diag.LPIterations), "steps")
 		})
 	}
 }

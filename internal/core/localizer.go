@@ -37,7 +37,7 @@ type KnowledgeTrainer interface {
 type TrainDiag struct {
 	// Constraints is the number of rows the LP solved.
 	Constraints int
-	// LPIterations is the simplex pivot count of the solve.
+	// LPIterations is the number of solver steps of the solve.
 	LPIterations int
 	// LowerBoundViolations counts co-observation constraints the optimum
 	// violated (repaired upward — Theorem 3's safe direction).

@@ -153,7 +153,7 @@ func TestAPRadTrainDiagnosed(t *testing.T) {
 		t.Errorf("diag.Constraints = %d, want the co-observation constraint counted", diag.Constraints)
 	}
 	if diag.LPIterations < 1 {
-		t.Errorf("diag.LPIterations = %d, want the simplex pivots counted", diag.LPIterations)
+		t.Errorf("diag.LPIterations = %d, want the solver steps counted", diag.LPIterations)
 	}
 	if diag.Objective <= 0 {
 		t.Errorf("diag.Objective = %v, want the positive radii sum", diag.Objective)

@@ -1,7 +1,9 @@
 // Package lp implements a two-phase simplex solver over a compact
-// dictionary for small and medium linear programs. The Marauder's map AP-Rad algorithm uses it to estimate AP
-// maximum transmission distances: maximize Σ r_j subject to pairwise
-// co-observation constraints r_i + r_j ≥ d_ij (or < d_ij) and box bounds.
+// dictionary for small and medium linear programs. It has no production
+// caller: core.EstimateRadii solves the AP-Rad radius program (maximize
+// Σ r_j subject to pairwise constraints r_i + r_j < d_ij and box bounds)
+// as a bipartite matching, and lp is that solver's differential oracle in
+// the core tests and the reference solver of enginebench.
 //
 // The solver handles ≤, ≥ and = constraints over non-negative variables and
 // uses Bland's rule, so it cannot cycle. The dictionary keeps one row per

@@ -362,7 +362,7 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 // and kept only while one of its APs has fewer than perAP such rows
 // (0 keeps all), then rᵢ ≤ box. With coObserved > 0, pairs closer than it
 // are co-observed instead and give rᵢ + rⱼ ≥ dᵢⱼ rows, placed first in
-// pair order as EstimateRadii's KeepLowerBounds does.
+// pair order.
 func apradProgram(rng *rand.Rand, n, perAP int, box, coObserved float64) Problem {
 	half := 350 * math.Sqrt(float64(n)/300)
 	xs, ys := make([]float64, n), make([]float64, n)

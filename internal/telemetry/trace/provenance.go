@@ -68,7 +68,7 @@ type TrainingInfo struct {
 	Gen uint64 `json:"gen"`
 	// Constraints is the number of rows the LP solved.
 	Constraints int `json:"constraints"`
-	// LPIterations is the simplex pivot count the solve took.
+	// LPIterations is the number of solver steps the solve took.
 	LPIterations int `json:"lpIterations"`
 	// LowerBoundViolations counts co-observed pairs whose evidence the
 	// optimum violated (repaired upward per Theorem 3).
