@@ -127,7 +127,7 @@ soak-smoke:
 	sh scripts/soak_smoke.sh
 
 # End-to-end profiling/SLO gate: a one-shot marauder run must write all
-# five profile kinds and print a decoded hot-function attribution; a
+# five profile kinds and a CPU artifact `go tool pprof -top` reads; a
 # serving run must answer /api/slo and /api/profile with live content
 # and export the stage/SLO metric families.
 profile-smoke:

@@ -27,7 +27,8 @@
 // Plus, against the current summary alone:
 //
 //   - with -require-profile, every current run carries a "profile"
-//     section with decoded hot functions and per-stage shares
+//     section with a non-empty CPU artifact (cpuBytes) and per-stage
+//     shares
 //   - with -require-agents, the current summary carries an "agents"
 //     section (the distributed-capture loopback run merged via
 //     cmd/soak -merge-extra agents=FILE) proving the wire moved frames
@@ -137,8 +138,8 @@ func (c *comparer) compareRun(name string, maxP99Ratio, minThroughputRatio float
 	c.add("framesIngested ("+name+")", ok && ingested > 0, "cur %.0f", ingested)
 }
 
-// checkProfile requires the current run's self-profile section: decoded
-// hot functions and non-empty per-stage shares.
+// checkProfile requires the current run's self-profile section: a
+// non-empty CPU artifact and non-empty per-stage shares.
 func (c *comparer) checkProfile(name string) {
 	gate := "profile (" + name + ")"
 	p, ok := dig(c.cur, "runs", name, "profile")
@@ -147,11 +148,10 @@ func (c *comparer) checkProfile(name string) {
 		return
 	}
 	prof, _ := p.(map[string]any)
-	samples, _ := prof["samples"].(float64)
-	top, _ := prof["topFunctions"].([]any)
+	cpuBytes, _ := prof["cpuBytes"].(float64)
 	stages, _ := prof["stageShares"].(map[string]any)
-	c.add(gate, samples > 0 && len(top) > 0 && len(stages) > 0,
-		"%d samples, %d hot functions, %d stage shares", int(samples), len(top), len(stages))
+	c.add(gate, cpuBytes > 0 && len(stages) > 0,
+		"%d B cpu artifact, %d stage shares", int64(cpuBytes), len(stages))
 }
 
 // checkAgents requires the current summary's distributed-capture
@@ -190,7 +190,7 @@ func run(args []string, out io.Writer) error {
 	curPath := fs.String("cur", "", "current PR's BENCH_<pr>.json (required)")
 	maxP99Ratio := fs.Float64("max-p99-ratio", 2.5, "fail when a latency p99 exceeds this multiple of the previous (noise-clamped) value")
 	minThroughputRatio := fs.Float64("min-throughput-ratio", 0.4, "fail when framesPerWallSec drops below this fraction of the previous run")
-	requireProfile := fs.Bool("require-profile", true, "fail when a current run lacks a profile section with hot functions and stage shares")
+	requireProfile := fs.Bool("require-profile", true, "fail when a current run lacks a profile section with a CPU artifact and stage shares")
 	requireAgents := fs.Bool("require-agents", false, "fail when the current summary lacks an agents section with throughput, a resume, and balanced accounting")
 	if err := fs.Parse(args); err != nil {
 		return err

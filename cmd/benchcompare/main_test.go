@@ -19,9 +19,9 @@ func summary(withProfile bool) map[string]any {
 	}
 	if withProfile {
 		run["profile"] = map[string]any{
-			"samples":      38.0,
-			"topFunctions": []any{map[string]any{"name": "hot", "flat": 1.0}},
-			"stageShares":  map[string]any{"ingest": 0.8, "localize": 0.2},
+			"cpuPath":     "/tmp/prof/prof-cpu-000000.pprof",
+			"cpuBytes":    4096.0,
+			"stageShares": map[string]any{"ingest": 0.8, "localize": 0.2},
 		}
 	}
 	return map[string]any{
@@ -102,8 +102,22 @@ func TestInjectedRegressionsFail(t *testing.T) {
 			"empty attribution",
 			func(cur map[string]any) {
 				runOf(cur)["profile"] = map[string]any{
-					"samples": 0.0, "topFunctions": []any{}, "stageShares": map[string]any{},
+					"cpuBytes": 0.0, "stageShares": map[string]any{},
 				}
+			},
+			"profile",
+		},
+		{
+			"no cpu artifact",
+			func(cur map[string]any) {
+				delete(runOf(cur)["profile"].(map[string]any), "cpuBytes")
+			},
+			"profile",
+		},
+		{
+			"no stage shares",
+			func(cur map[string]any) {
+				delete(runOf(cur)["profile"].(map[string]any), "stageShares")
 			},
 			"profile",
 		},

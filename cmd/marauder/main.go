@@ -46,11 +46,12 @@
 //
 // -prof-dir turns on the continuous profiler: every -prof-interval the
 // process captures CPU (-prof-cpu long), delta-heap, goroutine, mutex and
-// block profiles into rotated size-capped artifacts in that directory and
-// decodes its own CPU capture into the top-N hot-function table served at
-// /api/profile. Mutex and block captures are empty unless their runtime
-// rates are on: -mutex-profile-fraction samples 1/n of contention events
-// and -block-profile-rate records blocking ≥ n nanoseconds (both also
+// block profiles into rotated size-capped artifacts in that directory.
+// /api/profile serves the profiler's status; its lastCpuPath is the
+// newest CPU artifact, which `go tool pprof -top` reads. Mutex and block
+// captures are empty unless their runtime rates are on:
+// -mutex-profile-fraction samples 1/n of contention events and
+// -block-profile-rate records blocking ≥ n nanoseconds (both also
 // activate /debug/pprof/mutex and /debug/pprof/block under -pprof).
 //
 // -slo declares a service-level objective
@@ -684,28 +685,13 @@ func runOnce(a *attack, algo string) error {
 	// pass so the CPU profile covers the actual workload; the cycle is cut
 	// short when the work finishes first.
 	if a.prof != nil {
-		profCtx, profStop := context.WithCancel(context.Background())
-		profDone := make(chan struct{})
-		started := make(chan struct{})
-		go func() {
-			if err := a.prof.CycleSignaled(profCtx, started); err != nil {
+		stopProf := a.prof.Around(context.Background())
+		defer func() {
+			if err := stopProf(); err != nil {
 				slog.Warn("profiler cycle failed", "component", "marauder", "err", err)
 			}
-			close(profDone)
-		}()
-		<-started
-		defer func() {
-			profStop()
-			<-profDone
-			if attr := a.prof.Attribution(); attr != nil {
-				if len(attr.TopFunctions) > 0 {
-					hot := attr.TopFunctions[0]
-					fmt.Printf("profile: %d samples, hottest %s (%.1f%% flat), artifacts in %s\n",
-						attr.Samples, hot.Name, 100*hot.FlatShare, a.prof.Status().Dir)
-				} else {
-					fmt.Printf("profile: %d samples (workload too brief for attribution), artifacts in %s\n",
-						attr.Samples, a.prof.Status().Dir)
-				}
+			if st := a.prof.Status(); st.LastCPUPath != "" {
+				fmt.Printf("profile: cpu artifact %s (%d B)\n", st.LastCPUPath, st.LastCPUBytes)
 			}
 			if err := a.prof.Close(); err != nil {
 				slog.Warn("profiler close failed", "component", "marauder", "err", err)
@@ -788,13 +774,7 @@ func serve(a *attack, algo, addr string, speedup float64, pprofOn bool) error {
 		state.SetSLOSource(func() any { return a.slos.Report() })
 	}
 	if a.prof != nil {
-		state.SetProfileSource(func() any {
-			return map[string]any{
-				"enabled":     true,
-				"status":      a.prof.Status(),
-				"attribution": a.prof.Attribution(),
-			}
-		})
+		state.SetProfileSource(func() any { return a.prof.Status() })
 	}
 	if a.agents != nil {
 		state.SetAgentsSource(func() any { return a.agents.Report() })

@@ -16,8 +16,8 @@
 //
 // With -prof-dir one profiler capture cycle runs concurrently with the
 // replay (CPU capture first, cut short when the replay finishes, then
-// heap/goroutine/mutex/block snapshots), and the decoded hot-function
-// attribution is printed at the end. -mutex-profile-fraction and
+// heap/goroutine/mutex/block snapshots), and the CPU artifact's path is
+// printed at the end for `go tool pprof -top`. -mutex-profile-fraction and
 // -block-profile-rate turn on the runtime's contention profilers, which
 // otherwise leave the mutex and block captures empty.
 //
@@ -96,7 +96,6 @@ func run(args []string) error {
 	chaos := fs.Bool("chaos", false, "run the capture through the aggressive fault plan before ingest")
 	chaosSeed := fs.Int64("chaos-seed", 1, "fault plan seed (deterministic per seed)")
 	ckptDir := fs.String("checkpoint-dir", "", "restore the newest observation checkpoint before the replay and write one after it")
-	ckptInterval := fs.Duration("checkpoint-interval", 10*time.Second, "checkpoint period (accepted for parity with marauder; one-shot replay writes a single final checkpoint)")
 	profDir := fs.String("prof-dir", "", "directory for profiler artifacts; one capture cycle covers the replay (empty = off)")
 	profCPU := fs.Duration("prof-cpu", 10*time.Second, "maximum CPU capture length (cut short when the replay finishes first)")
 	mutexFrac := fs.Int("mutex-profile-fraction", 0, "sample 1/n of mutex contention events into the mutex profile (0 = off)")
@@ -106,21 +105,15 @@ func run(args []string) error {
 		return err
 	}
 	// Dependent-flag validation, shared semantics with cmd/marauder: a
-	// flag that only tunes a never-enabled feature is an error, and a
-	// zero/negative -checkpoint-interval means "periodic checkpoints
-	// disabled" (the replay's single final checkpoint still happens).
+	// flag that only tunes a never-enabled feature is an error.
 	fc := flagcheck.New(fs).
 		Requires("chaos-seed", "chaos").
-		Requires("checkpoint-interval", "checkpoint-dir").
 		Requires("prof-cpu", "prof-dir").
 		Requires("trace-sample", "trace").
 		Requires("trace-buffer", "trace")
 	if err := fc.Err(); err != nil {
 		return err
 	}
-	ckptEvery, _ := flagcheck.CheckpointInterval(*ckptInterval, func(format string, args ...any) {
-		slog.Info(fmt.Sprintf(format, args...), "component", "replay")
-	})
 	telemetry.SetProfileRates(*mutexFrac, *blockRate)
 	if _, err := telemetry.SetupLogging(os.Stderr, *logLevel, *logFormat); err != nil {
 		return err
@@ -153,28 +146,13 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		profCtx, profStop := context.WithCancel(context.Background())
-		profDone := make(chan struct{})
-		started := make(chan struct{})
-		go func() {
-			if err := p.CycleSignaled(profCtx, started); err != nil {
+		stopProf := p.Around(context.Background())
+		defer func() {
+			if err := stopProf(); err != nil {
 				slog.Warn("profiler cycle failed", "component", "replay", "err", err)
 			}
-			close(profDone)
-		}()
-		<-started
-		defer func() {
-			profStop()
-			<-profDone
-			if attr := p.Attribution(); attr != nil {
-				if len(attr.TopFunctions) > 0 {
-					hot := attr.TopFunctions[0]
-					fmt.Printf("profile: %d samples, hottest %s (%.1f%% flat), artifacts in %s\n",
-						attr.Samples, hot.Name, 100*hot.FlatShare, *profDir)
-				} else {
-					fmt.Printf("profile: %d samples (replay too brief for attribution), artifacts in %s\n",
-						attr.Samples, *profDir)
-				}
+			if st := p.Status(); st.LastCPUPath != "" {
+				fmt.Printf("profile: cpu artifact %s (%d B)\n", st.LastCPUPath, st.LastCPUBytes)
 			}
 			_ = p.Close()
 		}()
@@ -369,7 +347,7 @@ func run(args []string) error {
 		slog.Info("observation store saved", "component", "replay", "path", *obsOut)
 	}
 	if *ckptDir != "" {
-		ckpt := &obs.Checkpointer{Dir: *ckptDir, Interval: ckptEvery, Source: func() *obs.Store { return store }}
+		ckpt := &obs.Checkpointer{Dir: *ckptDir, Source: func() *obs.Store { return store }}
 		ckpt.SetGeneration(recoveredGen)
 		path, err := ckpt.CheckpointNow()
 		if err != nil {

@@ -14,7 +14,7 @@
 //	     [-duration 30s] [-speedup 600] [-sim-start 8h] [-sniffers 2]
 //	     [-chaos] [-chaos-seed 1] [-workers 0] [-shards 0]
 //	     [-ftdc-dir DIR] [-ftdc-interval 1s]
-//	     [-prof] [-prof-dir DIR] [-stage-sample-every 1]
+//	     [-prof] [-prof-dir DIR]
 //	     [-mutex-profile-fraction 0] [-block-profile-rate 0]
 //	     [-out BENCH_10.json] [-pr 10] [-run-name NAME] [-merge-micro FILE]
 //	     [-merge-extra NAME=FILE] [-metrics-addr :9642]
@@ -31,10 +31,12 @@
 //
 // The rig self-profiles by default (-prof): one continuous-profiler
 // capture cycle runs concurrently with the load, and the summary gains a
-// "profile" section — sample count, the decoded top-N hot functions, and
-// the per-stage wall-clock shares from the marauder_stage_seconds
-// histograms (the soak times every fix: -stage-sample-every defaults to
-// 1 here, unlike the serving commands' 16).
+// "profile" section — the artifact directory, the CPU artifact's path
+// and size (read it with `go tool pprof -top`), and the per-stage
+// wall-clock shares from the marauder_stage_seconds histograms. Shares
+// are only true when every stage is timed at the same rate: ingest and
+// store_scan are timed on every batch, so the soak times every fix too
+// (the serving commands time fix-path stages 1-in-16 by default).
 //
 // -agents N routes every capture batch through N loopback capwire
 // agents (real TCP, real framing, cursor acks) instead of calling the
@@ -101,7 +103,6 @@ type soakConfig struct {
 	FTDCEvery   time.Duration
 	Prof        bool
 	ProfDir     string
-	StageEvery  int
 	MutexFrac   int
 	BlockRate   int
 	Out         string
@@ -173,15 +174,13 @@ type runSummary struct {
 	Agents  *agentsSummary   `json:"agents,omitempty"`
 }
 
-// profileSummary is the run's self-profile: the decoded hot-function
-// table from the concurrent CPU capture plus the per-stage cost shares
-// from the marauder_stage_seconds histograms' sum deltas.
+// profileSummary is the run's self-profile: the CPU artifact of the
+// concurrent capture plus the per-stage cost shares from the
+// marauder_stage_seconds histograms' sum deltas.
 type profileSummary struct {
 	Artifacts    string             `json:"artifacts"`
 	CPUPath      string             `json:"cpuPath,omitempty"`
-	Samples      int                `json:"samples"`
-	TotalNanos   int64              `json:"totalNanos,omitempty"`
-	TopFunctions []prof.HotFunc     `json:"topFunctions,omitempty"`
+	CPUBytes     int64              `json:"cpuBytes"`
 	StageSeconds map[string]float64 `json:"stageSeconds,omitempty"`
 	StageShares  map[string]float64 `json:"stageShares,omitempty"`
 }
@@ -205,7 +204,6 @@ func parseFlags(args []string) (soakConfig, error) {
 	fs.DurationVar(&c.FTDCEvery, "ftdc-interval", time.Second, "flight recorder sampling interval")
 	fs.BoolVar(&c.Prof, "prof", true, "self-profile the run and record a \"profile\" section in the summary")
 	fs.StringVar(&c.ProfDir, "prof-dir", "", "profiler artifact directory (empty = a fresh temp dir)")
-	fs.IntVar(&c.StageEvery, "stage-sample-every", 1, "time per-stage histograms every Nth fix (the soak times every fix by default)")
 	fs.IntVar(&c.MutexFrac, "mutex-profile-fraction", 0, "sample 1/n of mutex contention events into the mutex profile (0 = off)")
 	fs.IntVar(&c.BlockRate, "block-profile-rate", 0, "record goroutine blocking lasting >= n ns into the block profile (0 = off)")
 	fs.StringVar(&c.Out, "out", "", "BENCH summary file to merge this run into (empty = print summary only)")
@@ -509,7 +507,7 @@ func soak(cfg soakConfig) (*runSummary, error) {
 		Localizer:        loc,
 		WindowSec:        60,
 		Workers:          cfg.Workers,
-		StageSampleEvery: cfg.StageEvery,
+		StageSampleEvery: 1, // ingest and store_scan are timed every batch; fixes match
 	})
 	if err != nil {
 		return nil, err
@@ -569,9 +567,9 @@ func soak(cfg soakConfig) (*runSummary, error) {
 	go func() { rec.Run(ctx); close(recDone) }()
 
 	// Self-profile: one capture cycle concurrent with the load, CPU
-	// capture sized to sit inside the soak window.
+	// capture sized to sit inside the soak window. A nil profiler
+	// (-prof=false) makes Around a no-op.
 	var profiler *prof.Profiler
-	profDone := make(chan struct{})
 	profDir := cfg.ProfDir
 	if cfg.Prof {
 		telemetry.SetProfileRates(cfg.MutexFrac, cfg.BlockRate)
@@ -588,22 +586,13 @@ func soak(cfg soakConfig) (*runSummary, error) {
 			Dir:         profDir,
 			Interval:    cfg.Duration + time.Hour, // one cycle per run
 			CPUDuration: cpuDur,
-			FilePrefix:  "soak",
 		})
 		if err != nil {
 			return nil, err
 		}
-		started := make(chan struct{})
-		go func() {
-			if cerr := profiler.CycleSignaled(ctx, started); cerr != nil {
-				slog.Warn("self-profile cycle failed", "component", "soak", "err", cerr)
-			}
-			close(profDone)
-		}()
-		<-started
-	} else {
-		close(profDone)
 	}
+	stopProf := profiler.Around(ctx)
+	defer stopProf() // explicit stop below; this covers the error returns
 
 	slog.Info("soak starting", "component", "soak",
 		"devices", cfg.Devices, "aps", cfg.APs, "algo", cfg.Algo,
@@ -730,8 +719,11 @@ func soak(cfg soakConfig) (*runSummary, error) {
 		ingested = agents.ingested.Load()
 	}
 	cancel()
-	<-recDone  // Run's final sample lands before Close seals the file
-	<-profDone // the profile cycle is cut short if still capturing
+	<-recDone // Run's final sample lands before Close seals the file
+	// The profile cycle is cut short if still capturing.
+	if perr := stopProf(); perr != nil {
+		slog.Warn("self-profile cycle failed", "component", "soak", "err", perr)
+	}
 	if err := rec.Close(); err != nil {
 		return nil, err
 	}
@@ -790,13 +782,8 @@ func soak(cfg soakConfig) (*runSummary, error) {
 		}
 	}
 	if profiler != nil {
-		ps := &profileSummary{Artifacts: profDir}
-		if attr := profiler.Attribution(); attr != nil {
-			ps.CPUPath = attr.Path
-			ps.Samples = attr.Samples
-			ps.TotalNanos = attr.TotalNanos
-			ps.TopFunctions = attr.TopFunctions
-		}
+		pst := profiler.Status()
+		ps := &profileSummary{Artifacts: profDir, CPUPath: pst.LastCPUPath, CPUBytes: pst.LastCPUBytes}
 		ps.StageSeconds = stageSumDeltas(startSnap, endSnap)
 		var total float64
 		for _, v := range ps.StageSeconds {

@@ -37,6 +37,7 @@ func TestSoakEndToEnd(t *testing.T) {
 		"-speedup", "1200", "-tick", "50ms", "-frame-every", "200ms",
 		"-sim-start", "11h",
 		"-ftdc-dir", ftdcDir, "-ftdc-interval", "200ms",
+		"-prof-dir", filepath.Join(dir, "prof"),
 		"-out", out, "-pr", "99", "-run-name", "test_run",
 	})
 	if err != nil {
@@ -61,6 +62,18 @@ func TestSoakEndToEnd(t *testing.T) {
 	fix := rs["fix"].(map[string]any)
 	if fix["count"].(float64) <= 0 {
 		t.Error("no fix latency samples")
+	}
+
+	// The self-profile points at a CPU artifact of the size it reports,
+	// and every stage is timed at one rate so the shares cover them all.
+	ps := rs["profile"].(map[string]any)
+	cpuPath, _ := ps["cpuPath"].(string)
+	cpuBytes, _ := ps["cpuBytes"].(float64)
+	if st, err := os.Stat(cpuPath); err != nil || cpuBytes <= 0 || float64(st.Size()) != cpuBytes {
+		t.Errorf("profile cpu artifact %q (%v B): stat %v", cpuPath, cpuBytes, err)
+	}
+	if shares, _ := ps["stageShares"].(map[string]any); len(shares) == 0 {
+		t.Errorf("profile has no stage shares: %v", ps)
 	}
 
 	// The flight record is the run's primary artifact: it must decode and

@@ -79,10 +79,6 @@ type Store struct {
 	snap  atomic.Pointer[Snapshot]
 }
 
-// DB is the store's historical name, kept as an alias so older call sites
-// keep compiling. New code should say Store.
-type DB = Store
-
 // New creates an empty store.
 func New() *Store {
 	return &Store{slot: make(map[dot11.MAC]int32)}

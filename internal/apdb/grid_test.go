@@ -14,7 +14,7 @@ import (
 // store_test.go does not reach: an empty store, a negative radius, a
 // point far off the grid, and Adds made after the grid was first built.
 
-func randomDB(n int, seed int64) (*DB, *rand.Rand) {
+func randomDB(n int, seed int64) (*Store, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	db := New()
 	for i := 0; i < n; i++ {

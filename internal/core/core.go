@@ -57,11 +57,6 @@ func KnowledgeFromStore(s *apdb.Store) Knowledge {
 	return Knowledge{snap: s.Snapshot()}
 }
 
-// KnowledgeFromSnapshot wraps an already-published snapshot.
-func KnowledgeFromSnapshot(sn *apdb.Snapshot) Knowledge {
-	return Knowledge{snap: sn}
-}
-
 // Snapshot exposes the backing snapshot (the shared empty snapshot for a
 // zero Knowledge).
 func (k Knowledge) Snapshot() *apdb.Snapshot {

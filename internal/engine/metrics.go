@@ -49,11 +49,12 @@ var (
 // Per-stage wall-time histograms for the fix/ingest hot paths — the
 // always-on version of the stage durations sampled traces carry, so the
 // engine-level cost breakdown is a /metrics scrape away. Fix-path stages
-// (window_assembly, localize, trace_record) are sampled
-// 1-in-N (Config.StageSampleEvery) to keep the cached-fix path inside
-// the perf gate; batch-level stages (store_scan, ingest) are timed on
-// every occurrence. All stages share one sampling rate, so stage *shares*
-// computed from the sums are unbiased.
+// (window_assembly, localize, trace_record) and marauder_fix_seconds are
+// sampled 1-in-N (Config.StageSampleEvery) to keep the cached-fix path
+// inside the perf gate; batch-level stages (store_scan, ingest) are timed
+// on every occurrence. The two groups therefore share a sampling rate
+// only at StageSampleEvery 1: stage *shares* computed from the sums at
+// any other rate undercount the fix-path stages by that factor.
 var (
 	mStageWindow   = stageSeconds("window_assembly")
 	mStageLocalize = stageSeconds("localize")

@@ -255,8 +255,9 @@ func (s *State) sloSource() func() any {
 }
 
 // SetProfileSource installs the provider behind /api/profile — typically
-// a closure composing prof.Profiler.Status and Attribution. With no
-// source installed the endpoint reports profiling disabled.
+// a closure over prof.Profiler.Status, whose lastCpuPath names the newest
+// CPU artifact for `go tool pprof`. With no source installed the endpoint
+// reports profiling disabled.
 func (s *State) SetProfileSource(src func() any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

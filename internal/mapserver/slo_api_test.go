@@ -45,7 +45,7 @@ func TestAPISLODisabledByDefault(t *testing.T) {
 func TestAPIProfileServesSource(t *testing.T) {
 	state := NewState()
 	state.SetProfileSource(func() any {
-		return map[string]any{"enabled": true, "topFunctions": []string{"hot.func"}}
+		return map[string]any{"enabled": true, "lastCpuPath": "/var/prof/prof-cpu-000000.pprof"}
 	})
 	srv := httptest.NewServer(Handler(state))
 	defer srv.Close()

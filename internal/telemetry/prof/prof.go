@@ -1,10 +1,9 @@
 // Package prof is the continuous profiler: a background loop that
 // periodically captures CPU, delta-heap, goroutine, mutex and block
 // profiles from the running process into rotated, size-capped artifact
-// files alongside the FTDC stream, then decodes its own CPU captures
-// in-process into a top-N hot-function attribution table (pprofparse.go)
-// so the hottest symbols are visible over /api/profile and in soak
-// summaries without ever attaching an external pprof tool.
+// files alongside the FTDC stream. The artifacts are standard pprof
+// files: `go tool pprof -top <Status().LastCPUPath>` answers "what was
+// hot" for any past cycle, and /debug/pprof answers it live.
 //
 // Like the FTDC recorder and the tracer, a nil *Profiler is the disabled
 // state: every method absorbs the call at the cost of one nil check.
@@ -23,6 +22,11 @@ import (
 	"time"
 )
 
+// filePrefix names artifacts <filePrefix>-<kind>-<seq>.pprof. Each
+// profiler owns its directory, so the prefix only keeps rotation off
+// files it did not write.
+const filePrefix = "prof"
+
 // Config assembles a Profiler.
 type Config struct {
 	// Dir is the directory profile artifacts are written into; created if
@@ -34,21 +38,14 @@ type Config struct {
 	// CPUDuration is how long each CPU capture runs; 0 means the default
 	// 10 s, and values above Interval are clamped to Interval.
 	CPUDuration time.Duration
-	// TopN bounds the attribution table; 0 means the default 20.
-	TopN int
 	// MaxBytes caps the total artifact bytes kept on disk; when a new
 	// capture pushes the directory past the cap, the oldest artifacts are
 	// deleted first. 0 means the default 64 MiB.
 	MaxBytes int64
-	// FilePrefix names artifacts <prefix>-<kind>-<seq>.pprof; "" means
-	// "prof".
-	FilePrefix string
-	// Clock substitutes the timestamp source, for tests; nil means
-	// time.Now.
-	Clock func() time.Time
 }
 
-// Status is the profiler's self-report, shaped for /api/health detail.
+// Status is the profiler's self-report, shaped for /api/health detail
+// and served alone at /api/profile.
 type Status struct {
 	// Enabled is false for a nil profiler — the "flag not set" report.
 	Enabled bool `json:"enabled"`
@@ -62,30 +59,16 @@ type Status struct {
 	Cycles   uint64 `json:"cycles"`
 	Captures uint64 `json:"captures"`
 	Bytes    int64  `json:"bytes"`
-	// LastCPUPath is the most recent CPU artifact, the one Attribution
-	// decodes.
-	LastCPUPath string `json:"lastCpuPath,omitempty"`
+	// LastCPUPath is the most recent CPU artifact (read it with
+	// `go tool pprof`) and LastCPUBytes its size.
+	LastCPUPath  string `json:"lastCpuPath,omitempty"`
+	LastCPUBytes int64  `json:"lastCpuBytes,omitempty"`
 	// LastErr is the most recent capture error, "" when healthy.
 	LastErr string `json:"lastErr,omitempty"`
 }
 
-// Attribution is the decoded view of the most recent CPU capture.
-type Attribution struct {
-	// CapturedAt is when the capture cycle finished.
-	CapturedAt time.Time `json:"capturedAt"`
-	// Path is the artifact the table was decoded from.
-	Path string `json:"path"`
-	// Samples is the number of stack samples in the capture, TotalNanos
-	// the CPU-nanosecond sum across them.
-	Samples    int   `json:"samples"`
-	TotalNanos int64 `json:"totalNanos"`
-	// TopFunctions is the flat-weight-ordered hot-function table.
-	TopFunctions []HotFunc `json:"topFunctions"`
-}
-
 // Profiler periodically captures runtime profiles into rotated artifact
-// files and keeps an in-process attribution of its latest CPU capture.
-// All methods are nil-safe.
+// files. All methods are nil-safe.
 type Profiler struct {
 	cfg Config
 
@@ -96,12 +79,12 @@ type Profiler struct {
 	retainedBytes int64
 	lastErr       error
 	lastCPU       string
-	attr          *Attribution
+	lastCPUBytes  int64
 	closed        bool
 }
 
 // New validates the config and creates the artifact directory. Nothing
-// is captured until Cycle or Run.
+// is captured until Cycle, Around or Run.
 func New(cfg Config) (*Profiler, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("prof: Config.Dir is required")
@@ -115,17 +98,8 @@ func New(cfg Config) (*Profiler, error) {
 	if cfg.CPUDuration > cfg.Interval {
 		cfg.CPUDuration = cfg.Interval
 	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = 20
-	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 64 << 20
-	}
-	if cfg.FilePrefix == "" {
-		cfg.FilePrefix = "prof"
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
@@ -135,19 +109,40 @@ func New(cfg Config) (*Profiler, error) {
 
 // Cycle runs one full capture cycle synchronously: a CPU capture of
 // CPUDuration (cancellable via ctx), then heap, goroutine, mutex and
-// block snapshots, artifact rotation, and attribution of the fresh CPU
-// capture. Returns the first error; the cycle continues past individual
-// capture failures so one broken profile kind doesn't starve the rest.
+// block snapshots and artifact rotation. Returns the first error; the
+// cycle continues past individual capture failures so one broken
+// profile kind doesn't starve the rest.
 func (p *Profiler) Cycle(ctx context.Context) error {
-	return p.CycleSignaled(ctx, nil)
+	return p.cycle(ctx, nil)
 }
 
-// CycleSignaled is Cycle with a start signal: started (when non-nil) is
-// closed as soon as the CPU capture is live — or immediately when it
-// cannot start — so a one-shot caller can hold its workload until the
-// capture covers it. On a single-CPU box the capture goroutine may
-// otherwise not be scheduled until the workload is already done.
-func (p *Profiler) CycleSignaled(ctx context.Context, started chan<- struct{}) error {
+// Around runs one capture cycle concurrently with the caller's workload:
+// it returns once the CPU capture is live, so the capture covers the
+// work that follows (on a single-CPU box the capture goroutine may
+// otherwise not be scheduled until the work is already done). The
+// returned stop cuts the CPU capture short, waits until the cycle has
+// written its artifacts and rotated, and returns the cycle's error;
+// calling it again returns the same error. On a nil profiler Around
+// starts nothing and stop returns nil.
+func (p *Profiler) Around(ctx context.Context) (stop func() error) {
+	if p == nil {
+		return func() error { return nil }
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- p.cycle(ctx, started) }()
+	<-started
+	return sync.OnceValue(func() error {
+		cancel()
+		return <-done
+	})
+}
+
+// cycle is Cycle with a start signal: started (when non-nil) is closed
+// as soon as the CPU capture is live — or immediately when it cannot
+// start.
+func (p *Profiler) cycle(ctx context.Context, started chan<- struct{}) error {
 	if p == nil {
 		if started != nil {
 			close(started)
@@ -173,7 +168,7 @@ func (p *Profiler) CycleSignaled(ctx context.Context, started chan<- struct{}) e
 		}
 	}
 
-	cpuPath, cpuData, err := p.captureCPU(ctx, seq, started)
+	cpuPath, cpuBytes, err := p.captureCPU(ctx, seq, started)
 	keep(err)
 	keep(p.captureLookup("heap", seq))
 	keep(p.captureLookup("goroutine", seq))
@@ -184,40 +179,22 @@ func (p *Profiler) CycleSignaled(ctx context.Context, started chan<- struct{}) e
 	keep(p.captureLookup("block", seq))
 	keep(p.rotate())
 
-	var attr *Attribution
-	if cpuData != nil {
-		if prof, perr := Parse(cpuData); perr != nil {
-			keep(perr)
-		} else {
-			top, total := prof.Top(p.cfg.TopN, prof.ValueIndex("cpu"))
-			attr = &Attribution{
-				CapturedAt:   p.cfg.Clock(),
-				Path:         cpuPath,
-				Samples:      len(prof.Samples),
-				TotalNanos:   total,
-				TopFunctions: top,
-			}
-		}
-	}
-
 	p.mu.Lock()
 	p.cycles++
 	p.lastErr = firstErr
 	if cpuPath != "" {
 		p.lastCPU = cpuPath
-	}
-	if attr != nil {
-		p.attr = attr
+		p.lastCPUBytes = cpuBytes
 	}
 	p.mu.Unlock()
 	return firstErr
 }
 
 // captureCPU runs one CPU profile of the configured duration, cut short
-// if ctx is cancelled, and returns the artifact path and raw bytes.
-// started (when non-nil) is closed once profiling is live or has failed
-// to start.
-func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- struct{}) (string, []byte, error) {
+// if ctx is cancelled, and returns the artifact path and size. started
+// (when non-nil) is closed once profiling is live or has failed to
+// start.
+func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- struct{}) (string, int64, error) {
 	var buf bytes.Buffer
 	err := pprof.StartCPUProfile(&buf)
 	if started != nil {
@@ -226,7 +203,7 @@ func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- st
 	if err != nil {
 		// Another CPU profile is active (e.g. a /debug/pprof/profile
 		// request); skip this cycle's CPU capture rather than fight it.
-		return "", nil, fmt.Errorf("prof: cpu: %w", err)
+		return "", 0, fmt.Errorf("prof: cpu: %w", err)
 	}
 	select {
 	case <-ctx.Done():
@@ -235,12 +212,12 @@ func (p *Profiler) captureCPU(ctx context.Context, seq uint64, started chan<- st
 	pprof.StopCPUProfile()
 	path := p.artifactPath("cpu", seq)
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", nil, fmt.Errorf("prof: cpu: %w", err)
+		return "", 0, fmt.Errorf("prof: cpu: %w", err)
 	}
 	p.mu.Lock()
 	p.captures++
 	p.mu.Unlock()
-	return path, buf.Bytes(), nil
+	return path, int64(buf.Len()), nil
 }
 
 // captureLookup snapshots one named runtime profile. The heap profile is
@@ -266,7 +243,7 @@ func (p *Profiler) captureLookup(kind string, seq uint64) error {
 }
 
 func (p *Profiler) artifactPath(kind string, seq uint64) string {
-	return filepath.Join(p.cfg.Dir, fmt.Sprintf("%s-%s-%06d.pprof", p.cfg.FilePrefix, kind, seq))
+	return filepath.Join(p.cfg.Dir, fmt.Sprintf("%s-%s-%06d.pprof", filePrefix, kind, seq))
 }
 
 // rotate deletes the oldest artifacts until retained bytes fit under
@@ -284,7 +261,7 @@ func (p *Profiler) rotate() error {
 	var arts []art
 	var total int64
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), p.cfg.FilePrefix+"-") || !strings.HasSuffix(e.Name(), ".pprof") {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), filePrefix+"-") || !strings.HasSuffix(e.Name(), ".pprof") {
 			continue
 		}
 		info, err := e.Info()
@@ -339,18 +316,6 @@ func (p *Profiler) Close() error {
 	return nil
 }
 
-// Attribution returns the decoded top-N table from the latest CPU
-// capture, or nil before the first completed cycle (and on a nil
-// profiler).
-func (p *Profiler) Attribution() *Attribution {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.attr
-}
-
 // Status reports the profiler's progress; a nil profiler reports
 // Enabled: false.
 func (p *Profiler) Status() Status {
@@ -368,6 +333,7 @@ func (p *Profiler) Status() Status {
 		Captures:       p.captures,
 		Bytes:          p.retainedBytes,
 		LastCPUPath:    p.lastCPU,
+		LastCPUBytes:   p.lastCPUBytes,
 	}
 	if p.lastErr != nil {
 		st.LastErr = p.lastErr.Error()

@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// spin burns CPU in a named function so a short self-capture has a
-// symbol to find.
+// spin burns CPU in a named function so a short self-capture has
+// samples to record.
 //
 //go:noinline
 func spin(stop *atomic.Bool, sink *atomic.Uint64) {
@@ -29,117 +28,6 @@ func spin(stop *atomic.Bool, sink *atomic.Uint64) {
 	}
 }
 
-// selfCapture records a real CPU profile of this process for dur while
-// burning CPU, returning the raw pprof bytes.
-func selfCapture(t *testing.T, dur time.Duration) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Fatalf("StartCPUProfile: %v", err)
-	}
-	var stop atomic.Bool
-	var sink atomic.Uint64
-	done := make(chan struct{})
-	go func() { spin(&stop, &sink); close(done) }()
-	time.Sleep(dur)
-	stop.Store(true)
-	<-done
-	pprof.StopCPUProfile()
-	return buf.Bytes()
-}
-
-func TestParseSelfCPUCapture(t *testing.T) {
-	data := selfCapture(t, 300*time.Millisecond)
-	p, err := Parse(data)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	idx := p.ValueIndex("cpu")
-	if idx < 0 {
-		t.Fatalf("no cpu sample type in %+v", p.SampleTypes)
-	}
-	if len(p.Samples) == 0 {
-		t.Fatal("no samples in a 300ms busy capture")
-	}
-	top, total := p.Top(10, idx)
-	if total <= 0 || len(top) == 0 {
-		t.Fatalf("empty attribution: total=%d rows=%d", total, len(top))
-	}
-	var found bool
-	for _, hf := range top {
-		if strings.Contains(hf.Name, "spin") {
-			found = true
-			if hf.FlatShare <= 0 || hf.FlatShare > 1 {
-				t.Errorf("spin FlatShare out of range: %v", hf.FlatShare)
-			}
-		}
-	}
-	if !found {
-		names := make([]string, len(top))
-		for i, hf := range top {
-			names[i] = hf.Name
-		}
-		t.Fatalf("spin not in top-10: %v", names)
-	}
-	// Shares must sum to at most 1 (top-N truncation loses some).
-	var sum float64
-	for _, hf := range top {
-		sum += hf.FlatShare
-		if hf.Cum < hf.Flat {
-			t.Errorf("%s: cum %d < flat %d", hf.Name, hf.Cum, hf.Flat)
-		}
-	}
-	if sum > 1.0001 {
-		t.Errorf("flat shares sum to %v > 1", sum)
-	}
-}
-
-func TestParseAcceptsBareProto(t *testing.T) {
-	data := selfCapture(t, 100*time.Millisecond)
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("capture not gzipped: %v", err)
-	}
-	var raw bytes.Buffer
-	if _, err := raw.ReadFrom(zr); err != nil {
-		t.Fatalf("gunzip: %v", err)
-	}
-	p, err := Parse(raw.Bytes())
-	if err != nil {
-		t.Fatalf("Parse bare proto: %v", err)
-	}
-	if p.ValueIndex("cpu") < 0 {
-		t.Fatal("bare proto lost sample types")
-	}
-}
-
-func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse([]byte{0x07, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Gzip magic with a broken stream.
-	if _, err := Parse([]byte{0x1f, 0x8b, 0x00}); err == nil {
-		t.Error("broken gzip accepted")
-	}
-}
-
-func TestParseHeapProfile(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-		t.Fatalf("heap WriteTo: %v", err)
-	}
-	p, err := Parse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("Parse heap: %v", err)
-	}
-	if p.ValueIndex("alloc_space") < 0 {
-		t.Fatalf("no alloc_space column in %+v", p.SampleTypes)
-	}
-	if m := p.FlatByFunction(p.ValueIndex("alloc_space")); len(m) == 0 {
-		t.Error("heap profile attributed to zero functions")
-	}
-}
-
 func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	if err := p.Cycle(context.Background()); err != nil {
@@ -149,8 +37,9 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
-	if a := p.Attribution(); a != nil {
-		t.Errorf("nil Attribution: %+v", a)
+	stop := p.Around(context.Background())
+	if err := stop(); err != nil {
+		t.Errorf("nil Around: %v", err)
 	}
 	if st := p.Status(); st.Enabled {
 		t.Error("nil Status reports Enabled")
@@ -159,7 +48,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 
 func TestProfilerCycleCapturesAndAttributes(t *testing.T) {
 	dir := t.TempDir()
-	p, err := New(Config{Dir: dir, CPUDuration: 250 * time.Millisecond, TopN: 15})
+	p, err := New(Config{Dir: dir, CPUDuration: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -176,28 +65,92 @@ func TestProfilerCycleCapturesAndAttributes(t *testing.T) {
 		t.Fatalf("Cycle: %v", err)
 	}
 
-	for _, kind := range []string{"cpu", "heap", "goroutine", "mutex", "block"} {
-		path := filepath.Join(dir, "prof-"+kind+"-000000.pprof")
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("missing %s artifact: %v", kind, err)
-		}
-	}
-	attr := p.Attribution()
-	if attr == nil {
-		t.Fatal("no attribution after a cycle")
-	}
-	if len(attr.TopFunctions) == 0 || attr.TotalNanos <= 0 {
-		t.Fatalf("empty attribution: %+v", attr)
-	}
+	checkArtifacts(t, dir, "000000")
 	st := p.Status()
 	if !st.Enabled || st.Cycles != 1 || st.Captures != 5 {
 		t.Errorf("status: %+v", st)
 	}
-	if st.LastCPUPath == "" || st.LastErr != "" {
+	if st.LastCPUPath != filepath.Join(dir, "prof-cpu-000000.pprof") || st.LastErr != "" {
 		t.Errorf("status: %+v", st)
 	}
+	checkCPUArtifact(t, st)
 	if st.Bytes <= 0 {
 		t.Errorf("retained bytes not tracked: %+v", st)
+	}
+}
+
+// checkArtifacts requires one non-empty artifact of every kind for the
+// cycle with sequence number seq.
+func checkArtifacts(t *testing.T, dir, seq string) {
+	t.Helper()
+	for _, kind := range []string{"cpu", "heap", "goroutine", "mutex", "block"} {
+		path := filepath.Join(dir, "prof-"+kind+"-"+seq+".pprof")
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Errorf("missing %s artifact: %v", kind, err)
+		} else if info.Size() == 0 {
+			t.Errorf("%s artifact is empty", kind)
+		}
+	}
+}
+
+// checkCPUArtifact requires the CPU artifact Status points at to be the
+// gzip stream runtime/pprof writes (what `go tool pprof` reads), of the
+// size Status reports.
+func checkCPUArtifact(t *testing.T, st Status) {
+	t.Helper()
+	data, err := os.ReadFile(st.LastCPUPath)
+	if err != nil {
+		t.Fatalf("reading cpu artifact: %v", err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("cpu artifact is not gzip (%d bytes)", len(data))
+	}
+	if int64(len(data)) != st.LastCPUBytes {
+		t.Errorf("LastCPUBytes = %d, artifact has %d", st.LastCPUBytes, len(data))
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("cpu artifact: %v", err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Errorf("cpu artifact gunzips to %d bytes: %v", n, err)
+	}
+}
+
+func TestAroundCoversWorkload(t *testing.T) {
+	dir := t.TempDir()
+	// CPUDuration far beyond the test: only stop can end the capture.
+	p, err := New(Config{Dir: dir, CPUDuration: time.Hour, Interval: time.Hour})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+
+	stopCycle := p.Around(context.Background())
+	var stop atomic.Bool
+	var sink atomic.Uint64
+	done := make(chan struct{})
+	go func() { spin(&stop, &sink); close(done) }()
+	time.Sleep(100 * time.Millisecond)
+	stop.Store(true)
+	<-done
+	if err := stopCycle(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	// stop returns only after the whole cycle: every artifact is on disk
+	// and the cycle is counted.
+	checkArtifacts(t, dir, "000000")
+	st := p.Status()
+	if st.Cycles != 1 || st.Captures != 5 || st.LastErr != "" {
+		t.Errorf("status after stop: %+v", st)
+	}
+	checkCPUArtifact(t, st)
+	if err := stopCycle(); err != nil {
+		t.Errorf("second stop: %v", err)
+	}
+	if st := p.Status(); st.Cycles != 1 {
+		t.Errorf("second stop ran another cycle: %+v", st)
 	}
 }
 
@@ -231,9 +184,8 @@ func TestProfilerRotationCapsBytes(t *testing.T) {
 		}
 		total += info.Size()
 	}
-	// Rotation runs before attribution, so the cap may be exceeded only
-	// by the final artifact batch of this cycle; the planted 8 KiB of
-	// old fakes must be gone.
+	// Rotation deletes the oldest artifacts first, so the planted 8 KiB
+	// of old fakes must be gone.
 	for i := 0; i < 4; i++ {
 		name := filepath.Join(dir, "prof-cpu-00000"+string(rune('0'+i))+".pprof")
 		if _, err := os.Stat(name); err == nil {
@@ -280,12 +232,5 @@ func TestCycleAfterCloseFails(t *testing.T) {
 	}
 	if err := p.Cycle(context.Background()); err == nil {
 		t.Error("Cycle after Close succeeded")
-	}
-}
-
-func TestTopHandlesMissingValueIndex(t *testing.T) {
-	p := &Profile{}
-	if top, total := p.Top(5, -1); top != nil || total != 0 {
-		t.Errorf("Top(-1) = %v, %d", top, total)
 	}
 }

@@ -2,11 +2,12 @@
 # profile-smoke: the CI gate for the continuous profiler and the SLO
 # plane. One-shot: run the marauder attack under a heavy algorithm with
 # -prof-dir and assert every profile kind (cpu, heap, goroutine, mutex,
-# block) was written and the in-process attributor decoded the CPU
-# capture into a non-empty hot-function table (the "profile:" summary
-# line). Serving: boot with the profiler, the default SLOs and per-fix
-# stage timing, then assert /api/slo and /api/profile carry live content
-# and the new metric families show on /metrics.
+# block) was written, the "profile:" summary line names the newest CPU
+# artifact, and `go tool pprof -top` lists at least one function in it
+# (scripts/pprof_top_check.sh). Serving: boot with the profiler, the
+# default SLOs and per-fix stage timing, then assert /api/slo and
+# /api/profile carry live content and the new metric families show on
+# /metrics.
 #
 # Env overrides: SMOKE_ADDR (default 127.0.0.1:18655), APS (one-shot AP
 # count, default 600), PROFILE_DIR (kept when set; default a temp dir).
@@ -34,8 +35,9 @@ fetch() {
     fi
 }
 
-# One-shot pass: aprad's per-fix linear programs give the 100 Hz sampler
-# real work, so the attribution table cannot be legitimately empty.
+# One-shot pass: aprad's radius training and per-fix M-Loc give the
+# 100 Hz sampler real work, so the CPU profile cannot be legitimately
+# empty.
 "$TMP/marauder" -once -algo aprad -aps "$APS" \
     -prof-dir "$PROFILE_DIR" -prof-cpu 30s \
     -mutex-profile-fraction 5 -block-profile-rate 10000 \
@@ -53,11 +55,15 @@ for kind in cpu heap goroutine mutex block; do
     fi
 done
 
-if ! grep -q '^profile: [1-9][0-9]* samples, hottest ' "$TMP/once.out"; then
-    echo "profile-smoke: no decoded attribution in the -once output" >&2
+# Artifact names carry a zero-padded cycle number: the last in sort
+# order is the newest.
+CPU="$(ls "$PROFILE_DIR"/prof-cpu-*.pprof | sort | tail -n 1)"
+if ! grep -q "^profile: cpu artifact .*/$(basename "$CPU") ([1-9][0-9]* B)\$" "$TMP/once.out"; then
+    echo "profile-smoke: the -once output does not name $CPU" >&2
     tail -5 "$TMP/once.out" >&2
     exit 1
 fi
+sh "$(dirname "$0")/pprof_top_check.sh" "$CPU"
 
 # Serving path: profiler cycling fast, default SLOs ticking every
 # second, stage timing on every fix.
@@ -103,6 +109,11 @@ grep -q '"enabled": *true' "$TMP/profile.json" || {
     cat "$TMP/profile.json" >&2
     exit 1
 }
+grep -q '"lastCpuPath": *"[^"]' "$TMP/profile.json" || {
+    echo "profile-smoke: /api/profile names no CPU artifact after a cycle" >&2
+    cat "$TMP/profile.json" >&2
+    exit 1
+}
 fetch /metrics >"$TMP/metrics.txt"
 grep -q '^marauder_stage_seconds_count{stage="window_assembly"}' "$TMP/metrics.txt" || {
     echo "profile-smoke: stage histograms missing from /metrics" >&2
@@ -117,4 +128,4 @@ kill "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null || true
 PID=""
 
-echo "profile-smoke: ok (5 artifact kinds, decoded attribution, live /api/slo + /api/profile)"
+echo "profile-smoke: ok (5 artifact kinds, CPU artifact read by go tool pprof, live /api/slo + /api/profile)"

@@ -3,8 +3,11 @@
 # recorder. Runs two mini-soaks (chaos off, then chaos on) against the
 # live in-process engine, lets cmd/soak merge both into one versioned
 # BENCH_<pr>.json, then decodes every flight record with ftdcdump -check
-# — non-empty, strictly monotonic timestamps — and asserts both runs
-# actually ingested traffic. Whole script stays under ~30s.
+# — non-empty, strictly monotonic timestamps — asserts both runs
+# actually ingested traffic, and runs `go tool pprof -top` over each
+# run's self-profile CPU artifact (the summary's cpuPath), which must list
+# at least one function (scripts/pprof_top_check.sh). Whole script stays
+# under ~30s.
 #
 # A third mini-soak streams through two loopback capwire agents under
 # the aggressive wire fault plan; its fleet accounting (throughput,
@@ -77,6 +80,16 @@ if grep -q '"framesIngested": 0,' "$OUT"; then
     cat "$OUT" >&2
     exit 1
 fi
+# Each run's self-profile names a CPU artifact that go tool pprof reads.
+for run in off on; do
+    cpu=$(grep -o "\"cpuPath\": *\"$WORK/prof-$run/[^\"]*\"" "$OUT" | sed 's/.*: *"//; s/"$//')
+    if [ -z "$cpu" ]; then
+        echo "soak-smoke: chaos_$run profile has no cpuPath under $WORK/prof-$run" >&2
+        cat "$OUT" >&2
+        exit 1
+    fi
+    sh "$(dirname "$0")/pprof_top_check.sh" "$cpu"
+done
 if grep -q '"resumes": 0,' "$OUT"; then
     echo "soak-smoke: the agent fleet never exercised cursor resume" >&2
     cat "$OUT" >&2
